@@ -4,28 +4,31 @@
 //      same corpus, so the snapshot speedup is tracked in the perf
 //      trajectory (DESIGN.md §4g).
 //   2. Closed-loop TCP loadgen: N client connections issue a fixed what-if
-//      request mix back-to-back against a live Server and report p50/p99
-//      end-to-end latency — once with the result cache enabled and once
-//      disabled (the cache-hit ablation).
+//      request mix back-to-back against a live ReactorServer and report
+//      p50/p99 end-to-end latency — once with the result cache enabled and
+//      once disabled (the cache-hit ablation).
 //   3. Overload shedding: a deliberately tiny admission bound under the same
 //      loadgen must produce `overloaded` responses (bounded queues shedding
 //      load) rather than unbounded buffering.
-//   4. Reactor vs threaded (the BENCH_serve_slo leg):
-//        a. byte equivalence — a fixed scripted request sequence must produce
-//           identical response bytes from the threaded server, the reactor
-//           with batching, and the reactor without (exit non-zero on any
+//   4. The BENCH_serve_slo leg, on a fresh server:
+//        a. byte equivalence — a fixed scripted request sequence pipelined
+//           down one connection must produce exactly the bytes an
+//           in-process QueryService produces for it (exit non-zero on any
 //           mismatch);
-//        b. connection ceiling — admitted-connection probe; the reactor must
-//           carry >= 4x the threaded server's default ceiling (exit non-zero
-//           if not: this gate is count-based, so sanitizer legs keep it);
-//        c. open-loop SLO curves — load::FindMaxSustainableRps per server
-//           flavor, recorded (not gated: sanitizers distort timing).
+//        b. connection ceiling — all 280 held-open probe connections must be
+//           admitted (exit non-zero if not: this gate counts connections
+//           rather than timing them, so sanitizer legs keep it);
+//        c. open-loop SLO curve — load::FindMaxSustainableRps, recorded (not
+//           gated: sanitizers distort timing).
 //
 // --smoke shrinks everything for CI (seconds of work); its JSON run report
 // (--json=BENCH_serve_slo-<leg>.json in CI) is the artifact the serve job
 // uploads.
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -40,7 +43,6 @@
 #include "load/loadgen.h"
 #include "serve/epoch.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "topology/serialization.h"
 #include "util/stats.h"
@@ -163,7 +165,7 @@ int ConnectTo(int port) {
 }
 
 // Pipelines the whole script down one connection, half-closes, reads the full
-// response stream — the transcript both servers must agree on byte-for-byte.
+// response stream.
 std::string FetchTranscript(int port, const std::string& script) {
   const int fd = ConnectTo(port);
   if (fd < 0) return "<connect failed>";
@@ -191,8 +193,7 @@ std::string FetchTranscript(int port, const std::string& script) {
 
 // Opens connections one at a time (held open), issuing a health query on
 // each; returns how many were admitted (answered ok). Over-ceiling accepts
-// answer `overloaded` (threaded) or close silently (reactor) — either way
-// they don't count.
+// are closed without an answer and don't count.
 std::size_t ProbeConnectionCeiling(int port, std::size_t attempts) {
   std::vector<int> held;
   held.reserve(attempts);
@@ -224,6 +225,42 @@ std::size_t ProbeConnectionCeiling(int port, std::size_t attempts) {
   }
   for (const int fd : held) ::close(fd);
   return admitted;
+}
+
+// What an in-process QueryService answers to `script`, one line each: reload
+// lines through HandleAdminLine, every other line through Handle — the bytes
+// the server must reproduce. `service` should be as fresh as the server's.
+std::string ReferenceTranscript(serve::QueryService* service,
+                                const std::string& script) {
+  serve::EpochManager epochs;
+  epochs.Install(serve::MakeUnownedEpoch(service));
+  std::string transcript;
+  std::size_t start = 0;
+  while (start < script.size()) {
+    std::size_t end = script.find('\n', start);
+    if (end == std::string::npos) end = script.size();
+    const std::string_view line(script.data() + start, end - start);
+    start = end + 1;
+    std::string response;
+    if (!serve::HandleAdminLine(&epochs, line, &response)) {
+      response = service->Handle(line);
+    }
+    transcript += response;
+    transcript += '\n';
+  }
+  return transcript;
+}
+
+// A QueryService over the snapshot with its baselines warmed: every server
+// phase starts from the same state.
+std::unique_ptr<serve::QueryService> WarmService(
+    const data::Snapshot& snapshot, std::size_t cache_capacity) {
+  serve::ServiceOptions options;
+  options.cache_capacity = cache_capacity;
+  auto service = std::make_unique<serve::QueryService>(
+      snapshot.Graph(), snapshot.Policy(), options);
+  service->WarmBaselines(snapshot.Baselines());
+  return service;
 }
 
 }  // namespace
@@ -378,12 +415,10 @@ int main(int argc, char** argv) {
   util::Table table({"mode", "clients", "requests", "ok", "overloaded",
                      "throughput_rps", "p50_ms", "p99_ms", "cache_hit_pct"});
   for (const bool cache_on : {true, false}) {
-    serve::ServiceOptions service_options;
-    service_options.cache_capacity = cache_on ? 4096 : 0;
-    serve::QueryService service(snapshot.Graph(), snapshot.Policy(),
-                                service_options);
-    service.WarmBaselines(snapshot.Baselines());
-    serve::Server server(&service, e.Pool(), serve::ServerOptions{});
+    const auto service = WarmService(snapshot, cache_on ? 4096 : 0);
+    serve::EpochManager epochs;
+    epochs.Install(serve::MakeUnownedEpoch(service.get()));
+    serve::ReactorServer server(&epochs, e.Pool());
     err = server.Start();
     if (!err.empty()) {
       std::fprintf(stderr, "error starting server: %s\n", err.c_str());
@@ -394,7 +429,7 @@ int main(int argc, char** argv) {
     const double wall_ms = MsSince(start);
     server.Stop();
 
-    const util::ShardedLruCache::Stats stats = service.Cache().GetStats();
+    const util::ShardedLruCache::Stats stats = service->Cache().GetStats();
     const double lookups = static_cast<double>(stats.hits + stats.misses);
     const double hit_pct =
         lookups > 0.0 ? 100.0 * static_cast<double>(stats.hits) / lookups : 0.0;
@@ -419,13 +454,12 @@ int main(int argc, char** argv) {
 
   // ---- Phase 3: overload shedding under a saturating loadgen. -------------
   {
-    serve::ServiceOptions service_options;
-    serve::QueryService service(snapshot.Graph(), snapshot.Policy(),
-                                service_options);
-    service.WarmBaselines(snapshot.Baselines());
-    serve::ServerOptions server_options;
-    server_options.max_inflight = 1;  // deliberately tiny admission bound
-    serve::Server server(&service, e.Pool(), server_options);
+    const auto service = WarmService(snapshot, 4096);
+    serve::EpochManager epochs;
+    epochs.Install(serve::MakeUnownedEpoch(service.get()));
+    serve::ReactorOptions options;
+    options.max_inflight = 1;  // deliberately tiny admission bound
+    serve::ReactorServer server(&epochs, e.Pool(), options);
     err = server.Start();
     if (!err.empty()) {
       std::fprintf(stderr, "error starting server: %s\n", err.c_str());
@@ -442,31 +476,22 @@ int main(int argc, char** argv) {
 
   e.PrintTable(table);
 
-  // ---- Phase 4: reactor vs threaded (byte equivalence, connection ceiling,
-  // open-loop SLO curves). ---------------------------------------------------
+  // ---- Phase 4: byte equivalence, connection ceiling, open-loop SLO curve.
   int exit_code = 0;
-  struct Flavor {
-    const char* name;
-    bool reactor;
-    bool batch;
-  };
-  const Flavor kFlavors[] = {{"threaded", false, false},
-                             {"reactor-batch", true, true},
-                             {"reactor-nobatch", true, false}};
 
-  // 4a. Byte equivalence on a fixed scripted sequence. The script excludes
-  // `stats` (uptime varies) — everything else must match byte-for-byte.
+  // 4a script. It excludes `stats` (uptime varies) — everything else must
+  // match byte-for-byte.
   load::WorkloadOptions script_options;
   script_options.seed = 42;
   script_options.as_count = static_cast<std::uint32_t>(graph.NumAses());
   script_options.mix = "impact:50,route:25,detect:15,defense:5,health:5";
-  const std::string script = load::Workload(script_options)
-                                 .Script(e.Flags().GetBool("smoke") ? 160 : 400);
+  const std::size_t script_lines = e.Flags().GetBool("smoke") ? 160 : 400;
+  const std::string script = load::Workload(script_options).Script(script_lines);
 
-  std::vector<std::string> transcripts;
-  util::Table slo_table({"mode", "admitted_conns", "max_sustainable_rps",
-                         "p50_us", "p99_us", "p999_us"});
-  const std::size_t ceiling_attempts = 280;  // > 4x the threaded default (64)
+  // Far more connections than pool threads, yet under the default 1024
+  // connection cap and the common 1024-descriptor limit (each probe holds
+  // two descriptors in this process: client end and server end).
+  const std::size_t ceiling_attempts = 280;
   load::LoadGenOptions lg;
   lg.connections = 8;
   lg.duration_ms = e.Flags().GetBool("smoke") ? 500 : 1500;
@@ -477,47 +502,26 @@ int main(int argc, char** argv) {
   const double max_rps = e.Flags().GetBool("smoke") ? 1600.0 : 12800.0;
   const int refine = e.Flags().GetBool("smoke") ? 1 : 3;
 
-  std::size_t threaded_admitted = 0;
-  for (const Flavor& flavor : kFlavors) {
-    // Every flavor serves from an identical cold start — same snapshot, fresh
-    // service and caches — so the transcripts (health reports baseline
-    // counts) and the SLO curves are comparable.
-    serve::ServiceOptions phase4_options;
-    phase4_options.cache_capacity = 4096;
-    serve::QueryService phase4_service(snapshot.Graph(), snapshot.Policy(),
-                                       phase4_options);
-    phase4_service.WarmBaselines(snapshot.Baselines());
+  // The server and the reference each get a fresh service over the same
+  // snapshot, so cold caches and health counters start equal.
+  std::string transcript;
+  std::size_t admitted = 0;
+  util::Table slo_table({"mode", "admitted_conns", "max_sustainable_rps",
+                         "p50_us", "p99_us", "p999_us"});
+  {
+    const auto service = WarmService(snapshot, 4096);
     serve::EpochManager epochs;
-    epochs.Install(serve::MakeUnownedEpoch(&phase4_service));
-
-    std::unique_ptr<serve::Server> threaded;
-    std::unique_ptr<serve::ReactorServer> reactor;
-    int port = 0;
-    if (flavor.reactor) {
-      serve::ReactorOptions options;
-      options.batch = flavor.batch;
-      reactor = std::make_unique<serve::ReactorServer>(&epochs, e.Pool(),
-                                                       options);
-      err = reactor->Start();
-      port = reactor ? reactor->Port() : 0;
-    } else {
-      threaded = std::make_unique<serve::Server>(&epochs, e.Pool(),
-                                                 serve::ServerOptions{});
-      err = threaded->Start();
-      port = threaded ? threaded->Port() : 0;
-    }
+    epochs.Install(serve::MakeUnownedEpoch(service.get()));
+    serve::ReactorServer server(&epochs, e.Pool());
+    err = server.Start();
     if (!err.empty()) {
-      std::fprintf(stderr, "error starting %s server: %s\n", flavor.name,
-                   err.c_str());
+      std::fprintf(stderr, "error starting server: %s\n", err.c_str());
       return 1;
     }
+    transcript = FetchTranscript(server.Port(), script);
+    admitted = ProbeConnectionCeiling(server.Port(), ceiling_attempts);
 
-    transcripts.push_back(FetchTranscript(port, script));
-
-    const std::size_t admitted = ProbeConnectionCeiling(port, ceiling_attempts);
-    if (!flavor.reactor) threaded_admitted = admitted;
-
-    lg.port = static_cast<std::uint16_t>(port);
+    lg.port = static_cast<std::uint16_t>(server.Port());
     const load::SweepResult sweep =
         load::FindMaxSustainableRps(lg, slo, start_rps, max_rps, refine);
     const load::SweepPoint* best = nullptr;
@@ -528,43 +532,36 @@ int main(int argc, char** argv) {
       }
     }
     slo_table.Row()
-        .Cell(flavor.name)
+        .Cell("reactor")
         .Cell(static_cast<std::uint64_t>(admitted))
         .Cell(sweep.max_sustainable_rps, 0)
         .Cell(best != nullptr ? best->report.p50_us : 0)
         .Cell(best != nullptr ? best->report.p99_us : 0)
         .Cell(best != nullptr ? best->report.p999_us : 0);
-
-    if (flavor.reactor) {
-      reactor->Stop();
-    } else {
-      threaded->Stop();
-    }
-
-    if (flavor.reactor && threaded_admitted > 0 &&
-        admitted < 4 * threaded_admitted) {
-      e.Note("** connection-ceiling gate FAILED: %s admitted %zu < 4x "
-             "threaded (%zu)",
-             flavor.name, admitted, threaded_admitted);
-      exit_code = 1;
-    }
+    server.Stop();
   }
   e.PrintTable(slo_table);
 
-  for (std::size_t i = 1; i < transcripts.size(); ++i) {
-    if (transcripts[i] != transcripts[0]) {
-      e.Note("** byte-equivalence gate FAILED: %s transcript differs from "
-             "%s (%zu vs %zu bytes)",
-             kFlavors[i].name, kFlavors[0].name, transcripts[i].size(),
-             transcripts[0].size());
-      exit_code = 1;
-    }
+  const std::string reference =
+      ReferenceTranscript(WarmService(snapshot, 4096).get(), script);
+  if (transcript == reference) {
+    e.Note("byte equivalence: %zu scripted requests, transcript equals the "
+           "in-process reference (%zu response bytes)",
+           script_lines, transcript.size());
+  } else {
+    e.Note("** byte-equivalence gate FAILED: transcript differs from the "
+           "in-process reference (%zu vs %zu bytes)",
+           transcript.size(), reference.size());
+    exit_code = 1;
   }
-  if (exit_code == 0) {
-    e.Note("byte equivalence: %zu scripted requests identical across "
-           "threaded / reactor-batch / reactor-nobatch (%zu response bytes)",
-           static_cast<std::size_t>(e.Flags().GetBool("smoke") ? 160 : 400),
-           transcripts[0].size());
+  if (admitted == ceiling_attempts) {
+    e.Note("connection ceiling: %zu/%zu held-open connections admitted",
+           admitted, ceiling_attempts);
+  } else {
+    e.Note("** connection-ceiling gate FAILED: %zu/%zu held-open "
+           "connections admitted",
+           admitted, ceiling_attempts);
+    exit_code = 1;
   }
 
   std::remove(topo_path.c_str());

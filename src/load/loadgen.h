@@ -15,7 +15,7 @@
 // scheduled timestamp into the connection's FIFO before the bytes leave; one
 // reader thread per connection splits response lines (net::LineSplitter),
 // pops the matching timestamp — per-connection responses arrive in request
-// order on both servers — and records the latency plus an ok/overloaded/
+// order — and records the latency plus an ok/overloaded/
 // error classification. After the send window closes the readers drain until
 // every request is answered or the drain timeout expires.
 //

@@ -15,8 +15,8 @@ namespace asppi::net {
 
 // Retries `fn` (a syscall-shaped callable returning < 0 with errno on
 // failure) while it fails with EINTR. Returns the first non-EINTR result.
-// Both the threaded serve::Server and the reactor route every accept/read/
-// write/poll through this so a delivered signal can never tear a connection.
+// The reactor's and the load generator's accept/read/write calls go through
+// this so a delivered signal can never tear a connection.
 template <typename Fn>
 auto RetryOnEintr(Fn&& fn) -> decltype(fn()) {
   decltype(fn()) result;

@@ -7,7 +7,7 @@
 //   * splitting is byte-boundary-independent: feeding a stream one byte at a
 //     time yields exactly the lines of feeding it in one call;
 //   * '\r' before the terminator is stripped (telnet/nc friendliness), blank
-//     lines are swallowed (keep-alive probes), matching the threaded server;
+//     lines are swallowed (keep-alive probes);
 //   * a line longer than `max_line_bytes` is rejected without buffering it:
 //     the splitter drops into a skip state that discards bytes until the
 //     next '\n' (bounded memory under a hostile or broken writer) and

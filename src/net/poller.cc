@@ -27,19 +27,6 @@ const char* PollerBackendName(PollerBackend backend) {
   return "unknown";
 }
 
-bool ParsePollerBackend(const std::string& name, PollerBackend* out) {
-  if (name == "auto") {
-    *out = PollerBackend::kAuto;
-  } else if (name == "epoll") {
-    *out = PollerBackend::kEpoll;
-  } else if (name == "poll") {
-    *out = PollerBackend::kPoll;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Poller::Poller(PollerBackend backend) : backend_(backend) {
   if (backend_ == PollerBackend::kAuto) {
     backend_ =

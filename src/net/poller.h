@@ -26,8 +26,6 @@ namespace asppi::net {
 enum class PollerBackend { kAuto, kEpoll, kPoll };
 
 const char* PollerBackendName(PollerBackend backend);
-// Parses "auto" | "epoll" | "poll"; returns false on unknown spelling.
-bool ParsePollerBackend(const std::string& name, PollerBackend* out);
 
 struct PollerEvent {
   int fd = -1;

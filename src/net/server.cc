@@ -70,8 +70,8 @@ std::string Server::Start() {
 void Server::HandleAccept() {
   listener_.AcceptReady([this](ScopedFd fd) {
     if (open_.load(std::memory_order_relaxed) >= options_.max_connections) {
-      // Admission control: close without a response, exactly like the
-      // threaded server's cap — clients treat it as a refused connection.
+      // Admission control: close without a response line — no Conn exists
+      // yet to write one; clients treat it as a refused connection.
       rejected_.fetch_add(1, std::memory_order_relaxed);
       Instr().rejected.Add();
       return;  // ScopedFd closes on scope exit

@@ -35,7 +35,7 @@ struct NetServerOptions {
   int shards = 2;
   PollerBackend backend = PollerBackend::kAuto;
   // Admission cap across all shards; connections beyond it are closed at
-  // accept time without a response (same contract as the threaded server).
+  // accept time without a response line (the client reads EOF).
   std::size_t max_connections = 1024;
   // Milliseconds Stop() waits for a graceful drain before force-closing.
   int drain_timeout_ms = 5000;

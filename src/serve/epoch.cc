@@ -51,7 +51,7 @@ std::shared_ptr<Epoch> MakeUnownedEpoch(QueryService* service,
   auto epoch = std::make_shared<Epoch>();
   epoch->id = id;
   // Aliasing-style null deleter: the epoch pins nothing; the caller owns the
-  // service's lifetime (the legacy Server ctor contract).
+  // service's lifetime.
   epoch->service = std::shared_ptr<QueryService>(service,
                                                  [](QueryService*) {});
   return epoch;
@@ -64,7 +64,7 @@ std::shared_ptr<Epoch> EpochManager::Current() const {
 
 void EpochManager::Install(std::shared_ptr<Epoch> epoch) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (epoch != nullptr && epoch->service != nullptr && stats_provider_) {
+  if (epoch != nullptr && epoch->service != nullptr) {
     epoch->service->SetServerStatsFn(stats_provider_);
   }
   current_ = std::move(epoch);
@@ -79,7 +79,7 @@ void EpochManager::SetReloader(Reloader reloader) {
 void EpochManager::SetStatsProvider(std::function<ServerStats()> provider) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_provider_ = std::move(provider);
-  if (current_ != nullptr && current_->service != nullptr && stats_provider_) {
+  if (current_ != nullptr && current_->service != nullptr) {
     current_->service->SetServerStatsFn(stats_provider_);
   }
 }

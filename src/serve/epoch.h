@@ -4,18 +4,16 @@
 // data::Snapshot) plus the QueryService built over it, stamped with a
 // monotonically increasing id. The EpochManager holds the current epoch
 // behind a shared_ptr; swapping in a new one is a pointer assignment under a
-// short mutex, and every in-flight request PINS the epoch it started on (the
-// threaded server pins per request, the reactor per batch). The old
-// generation — snapshot mmap, graph, caches — stays alive exactly until the
-// last pinned query drops its reference, so a SIGHUP mid-burst loses
-// nothing: queries racing the swap are answered by whichever epoch they
-// pinned, never by a half-torn one.
+// short mutex, and every in-flight batch of requests PINS the epoch it
+// started on. The old generation — snapshot mmap, graph, caches — stays
+// alive exactly until the last pinned batch drops its reference, so a SIGHUP
+// mid-burst loses nothing: queries racing the swap are answered by whichever
+// epoch they pinned, never by a half-torn one.
 //
 // Two triggers feed Reload():
 //   * SIGHUP — asppi_serve's signal loop observes the flag and calls it;
-//   * the "reload" admin op — both servers intercept it via HandleAdminLine
-//     before service dispatch, so the wire behavior is byte-identical
-//     between the threaded server and the reactor.
+//   * the "reload" admin op — the front end intercepts it via
+//     HandleAdminLine before service dispatch.
 // Reloads are serialized; concurrent triggers coalesce into distinct
 // sequential generations rather than racing.
 #pragma once
@@ -49,7 +47,7 @@ std::string MakeSnapshotEpoch(const std::string& path, std::uint64_t id,
                               const ServiceOptions& base,
                               std::shared_ptr<Epoch>* out);
 
-// Wraps an externally-owned service (tests, the legacy Server ctor) as epoch
+// Wraps an externally-owned service (tests, text-topology serving) as epoch
 // `id` without taking ownership — the caller keeps the service alive.
 std::shared_ptr<Epoch> MakeUnownedEpoch(QueryService* service,
                                         std::uint64_t id = 0);
@@ -67,14 +65,18 @@ class EpochManager {
   std::shared_ptr<Epoch> Current() const;
 
   // Publishes `epoch` as current and applies the registered stats provider
-  // to its service.
+  // (empty included) to its service.
   void Install(std::shared_ptr<Epoch> epoch);
 
   // Registers how new generations are built (unset = reload unavailable).
   void SetReloader(Reloader reloader);
 
   // The serving front end's live-counter hook, surfaced through the stats
-  // op; applied to the current and every future epoch's service.
+  // op; applied to the current and every future epoch's service. An empty
+  // provider unregisters it: the front end passes one when it stops. A
+  // retired epoch's service keeps the hook it had, so it must not answer
+  // "stats" once the front end is gone (snapshot epochs die with their last
+  // pinned batch, which the front end's Stop() waits for).
   void SetStatsProvider(std::function<ServerStats()> provider);
 
   // Builds generation current+1 via the reloader and installs it. Returns ""
@@ -96,8 +98,8 @@ class EpochManager {
 
 // Intercepts the "reload" admin op. Returns true (with `*response` set, no
 // trailing newline) when `line` parses as a reload request; false for every
-// other line — including malformed ones, whose error bytes must come from
-// the ordinary per-server path so the two servers stay byte-identical.
+// other line — including malformed ones, whose error bytes come from
+// QueryService::Handle like any other request's.
 bool HandleAdminLine(EpochManager* epochs, std::string_view line,
                      std::string* response);
 

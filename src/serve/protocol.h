@@ -32,7 +32,7 @@
 //   {"op":"stats"}                                     cache/latency/counters
 //   {"op":"health"}                                    liveness + corpus size
 //   {"op":"reload"}                                    swap in a new epoch
-//       Admin op: both servers intercept it before service dispatch
+//       Admin op: the front end intercepts it before service dispatch
 //       (serve/epoch.h) and answer with the new epoch id, or an error when
 //       no snapshot source is configured. In-flight queries keep the epoch
 //       they started on.

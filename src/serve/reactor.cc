@@ -47,10 +47,7 @@ std::string ReactorServer::Start() {
   net::NetServerOptions net_options;
   net_options.port = static_cast<std::uint16_t>(options_.port);
   net_options.shards = options_.shards;
-  net_options.backend = options_.backend;
   net_options.max_connections = options_.max_connections;
-  net_options.conn.max_line_bytes = options_.max_line_bytes;
-  net_options.conn.max_write_backlog = options_.max_write_backlog;
   net_options.conn.oversize_response = ErrorResponse("request line too long");
   net_options.conn.backlog_shed_counter = &backlog_sheds_;
   net_server_ = std::make_unique<net::Server>(
@@ -84,6 +81,10 @@ void ReactorServer::Stop() {
   while (inflight_.load(std::memory_order_acquire) > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // The services keep answering "stats" after this server is destroyed (the
+  // epoch manager and its epochs outlive it), so the provider capturing
+  // `this` must go with the server.
+  epochs_->SetStatsProvider(nullptr);
 }
 
 int ReactorServer::Port() const {
@@ -91,7 +92,8 @@ int ReactorServer::Port() const {
 }
 
 net::PollerBackend ReactorServer::Backend() const {
-  return net_server_ != nullptr ? net_server_->backend() : options_.backend;
+  return net_server_ != nullptr ? net_server_->backend()
+                                : net::PollerBackend::kAuto;
 }
 
 ServerStats ReactorServer::Stats() const {
@@ -124,10 +126,9 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
   // Admission on the loop thread: one inflight slot per BATCH, not per line.
   // A batch occupies exactly one pool worker however many lines it carries
   // (they execute serially inside it), and each connection has at most one
-  // batch in flight — so batch slots measure the same thing the threaded
-  // server's per-request gate does: concurrent demand across connections. A
-  // pipelined burst on one connection is serialized work, not concurrency,
-  // and must not trip the bound (the byte-equivalence gate pins this down).
+  // batch in flight — so batch slots measure concurrent demand across
+  // connections. A pipelined burst on one connection is serialized work, not
+  // concurrency, and must not trip the bound (reactor_test pins this down).
   const std::size_t slot = inflight_.fetch_add(1, std::memory_order_acq_rel);
   if (slot >= options_.max_inflight) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -162,7 +163,7 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
       }
     } else {
       // Admin (reload) lines execute inline at their batch position; the
-      // rest go through the service, batched or per-line.
+      // rest go through the service as one batch.
       std::vector<std::size_t> normal_index;
       std::vector<std::string> normal_lines;
       normal_index.reserve(count);
@@ -173,16 +174,10 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
         normal_index.push_back(i);
         normal_lines.push_back(std::move(lines[i]));
       }
-      if (options_.batch) {
-        std::vector<std::string> answered =
-            epoch->service->HandleBatch(normal_lines);
-        for (std::size_t i = 0; i < normal_index.size(); ++i) {
-          responses[normal_index[i]] = std::move(answered[i]);
-        }
-      } else {
-        for (std::size_t i = 0; i < normal_index.size(); ++i) {
-          responses[normal_index[i]] = epoch->service->Handle(normal_lines[i]);
-        }
+      std::vector<std::string> answered =
+          epoch->service->HandleBatch(normal_lines);
+      for (std::size_t i = 0; i < normal_index.size(); ++i) {
+        responses[normal_index[i]] = std::move(answered[i]);
       }
     }
     const auto elapsed = std::chrono::steady_clock::now() - enqueued;

@@ -1,22 +1,21 @@
-// ReactorServer: QueryService behind the net:: epoll reactor.
+// ReactorServer: QueryService behind the net:: epoll reactor — the TCP
+// front end of asppi_serve.
 //
-// Where the threaded Server spends a thread per connection, this front end
-// runs N event-loop shards (net::Server) and scales to connection counts
-// far beyond the thread count — perf_serve's ceiling probe gates it at >= 4x
-// the threaded server's max_connections. Each readiness event drains a
-// connection's complete request lines as ONE batch:
+// N event-loop shards (net::Server) carry connection counts far beyond the
+// thread count; perf_serve's ceiling probe gates 280 held-open connections.
+// Each readiness event drains a connection's complete request lines as ONE
+// batch:
 //
 //   loop thread: admission (one inflight slot per batch — a batch is one
 //                pool worker's worth of serialized work, and each connection
-//                carries at most one, so batch slots measure cross-connection
-//                demand exactly like the threaded server's per-request gate;
-//                over the bound the whole batch is answered "overloaded") →
-//                pin the current Epoch → submit to the shared ThreadPool;
+//                carries at most one, so batch slots measure concurrent
+//                demand across connections; over the bound the whole batch
+//                is answered "overloaded") → pin the current Epoch → submit
+//                to the shared ThreadPool;
 //   pool thread: deadline check (stale batches shed wholesale), reload
-//                interception (HandleAdminLine — identical bytes to the
-//                threaded server), then QueryService::HandleBatch (batched
-//                mode: intra-batch dedup memo) or per-line Handle (unbatched
-//                — the perf_serve ablation), then conn->Reply(responses);
+//                interception (HandleAdminLine), then QueryService::HandleBatch
+//                (intra-batch dedup memo; each answer byte-identical to
+//                Handle), then conn->Reply(responses);
 //   loop thread: Reply appends, flushes, dispatches the next batch.
 //
 // Per-connection ordering holds because net::Conn keeps at most one batch in
@@ -24,6 +23,9 @@
 // pinned per batch: a SIGHUP swap mid-batch means this batch answers from
 // the old generation and the next batch picks up the new one — no query is
 // ever dropped or torn across generations.
+//
+// Framing limits (64 KiB request lines, 4 MiB write backlog per connection)
+// are net::ConnOptions' defaults.
 #pragma once
 
 #include <atomic>
@@ -41,19 +43,13 @@ namespace asppi::serve {
 struct ReactorOptions {
   int port = 0;  // 0 = ephemeral
   int shards = 2;
-  net::PollerBackend backend = net::PollerBackend::kAuto;
+  // Connections beyond this are closed at accept time without a response.
   std::size_t max_connections = 1024;
   // Queued-or-executing BATCHES (<= one per connection) before shedding.
   std::size_t max_inflight = 128;
   int deadline_ms = 10000;
   int slow_query_ms = 1000;
   bool log_slow_queries = true;
-  // false = per-line QueryService::Handle even when lines arrive together
-  // (the batching ablation perf_serve measures). Wire bytes are identical
-  // either way; only the amortization differs.
-  bool batch = true;
-  std::size_t max_line_bytes = 64 * 1024;
-  std::size_t max_write_backlog = 4 * 1024 * 1024;
 };
 
 class ReactorServer {
@@ -67,14 +63,18 @@ class ReactorServer {
   ReactorServer(const ReactorServer&) = delete;
   ReactorServer& operator=(const ReactorServer&) = delete;
 
+  // Binds, starts the shards, and installs Stats() as the epoch manager's
+  // stats provider. Returns "" on success, else an error message.
   std::string Start();
   // Graceful drain; idempotent. Blocks until in-flight batches have flushed
   // AND every pool task has released its connection, so the ThreadPool holds
   // no reference into the reactor once Stop returns (whatever order the
-  // caller destroys them in).
+  // caller destroys them in). Then unregisters the stats provider, so no
+  // service answers "stats" through this server after it is gone.
   void Stop();
 
   int Port() const;
+  // The readiness backend in use (kAuto until Start resolves it).
   net::PollerBackend Backend() const;
   ServerStats Stats() const;
 

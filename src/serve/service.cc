@@ -200,7 +200,7 @@ std::string QueryService::Execute(const Request& request) {
     case Op::kHealth:
       return RunHealth();
     case Op::kReload:
-      // Epoch swapping is a transport concern; both servers intercept this
+      // Epoch swapping is a transport concern; the front end intercepts this
       // op before dispatch (serve/epoch.h). Reaching the service means there
       // is no server — direct embedding or tests.
       return ErrorResponse("reload requires a server");

@@ -61,11 +61,10 @@ struct ServiceOptions {
   std::shared_ptr<const defense::PolicySet> active_defense;
 };
 
-// Live transport-layer counters the serving front end exposes through the
-// "stats" op. Both servers fill the shared fields; batch fields stay zero on
-// the threaded server (it has no batch path).
+// Live transport-layer counters the serving front end (ReactorServer)
+// exposes through the "stats" op.
 struct ServerStats {
-  const char* kind = "";  // "threaded" | "reactor"
+  const char* kind = "";  // "reactor"
   std::uint64_t epoch = 0;
   std::uint64_t connections = 0;  // currently open
   std::uint64_t accepted = 0;
@@ -108,7 +107,8 @@ class QueryService {
       const std::vector<std::string>& lines);
 
   // Installs the transport's live-counter hook; "stats" responses then carry
-  // an "epoch" field and a "server" object. Thread-safe.
+  // an "epoch" field and a "server" object. An empty `fn` removes it.
+  // Thread-safe.
   void SetServerStatsFn(std::function<ServerStats()> fn);
 
   const topo::AsGraph& Graph() const { return graph_; }

@@ -1,11 +1,12 @@
-// serve::ReactorServer — the epoll front end — against the contracts the
-// threaded server already pins: all ops over TCP, pipelined ordering, batch
-// admission (one inflight slot per BATCH, so a pipelined burst on one
-// connection never trips the overload gate), whole-batch shedding, the
-// connection cap, graceful drain, and byte equivalence of full transcripts
-// across threaded / reactor-batched / reactor-unbatched. The epoch suites
-// cover hot reload: a swap mid-stream never drops or tears a query, and the
-// concurrent swap+query suite is a TSan target.
+// serve::ReactorServer — asppi_serve's TCP front end: all ops over TCP,
+// pipelined ordering, concurrent connections, batch admission (one inflight
+// slot per BATCH, so a pipelined burst on one connection never trips the
+// overload gate), whole-batch shedding, the connection cap, graceful drain
+// and idempotent Stop, start/stop cycles over one service, and byte
+// equivalence of a full transcript with an in-process reference. The
+// ServerTest suite pins the same front end's wire contract for a plain
+// line-at-a-time client. The epoch suites cover hot reload: a swap mid-stream never drops or tears a query,
+// and the concurrent swap+query suite is a TSan target.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -24,7 +25,6 @@
 #include "serve/epoch.h"
 #include "serve/protocol.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "topology/generator.h"
 #include "util/json.h"
@@ -189,58 +189,91 @@ TEST_F(ReactorTest, PipelinedRequestsAnswerInOrder) {
   server.Stop();
 }
 
-// The satellite gate: identical request bytes in, identical response bytes
-// out, across the threaded server, the batched reactor, and the unbatched
-// reactor. Each flavor gets a FRESH QueryService so cold caches and health
-// counters start equal.
+// TSan target: several connections in flight at once, each response pinned
+// against a single-threaded reference.
+TEST_F(ReactorTest, ConcurrentConnectionsGetConsistentAnswers) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  QueryService reference(gen_.graph, {});
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 6; ++c) {
+    clients.emplace_back([&, c] {
+      Client client(server.Port());
+      if (!client.Connected()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < 10; ++i) {
+        const std::string line = RouteLine((c + i) % 8, c % 2);
+        if (client.RoundTrip(line) != reference.Handle(line)) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : clients) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  server.Stop();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 6u);
+  EXPECT_EQ(stats.overload_rejects, 0u);
+}
+
+// Identical request bytes in, identical response bytes out: the served
+// transcript against an in-process reference — reload lines through
+// HandleAdminLine on a fresh EpochManager, every other line through Handle on
+// a fresh QueryService, so cold caches and health counters start equal.
 TEST_F(ReactorTest, TranscriptsAreByteIdenticalAcrossServers) {
-  std::string script;
-  for (int i = 0; i < 6; ++i) script += ImpactLine(i, i % 4) + "\n";
-  for (int i = 0; i < 4; ++i) script += RouteLine(i + 6, i % 4) + "\n";
+  std::vector<std::string> lines;
+  for (int i = 0; i < 6; ++i) lines.push_back(ImpactLine(i, i % 4));
+  for (int i = 0; i < 4; ++i) lines.push_back(RouteLine(i + 6, i % 4));
   // Duplicates exercise the batch dedup memo; the malformed line and the
   // reload-without-a-reloader error must also match byte for byte.
-  for (int i = 0; i < 3; ++i) script += ImpactLine(0, 0) + "\n";
-  script += "{\"op\":\"impact\",\"victim\":1}\n";
-  script += "{\"op\":\"reload\"}\n";
-  script += "{\"op\":\"health\"}\n";
+  for (int i = 0; i < 3; ++i) lines.push_back(ImpactLine(0, 0));
+  lines.push_back(R"({"op":"impact","victim":1})");
+  lines.push_back(R"({"op":"reload"})");
+  lines.push_back(R"({"op":"health"})");
   const std::size_t expected_lines = 16;
+  std::string script;
+  for (const std::string& line : lines) script += line + "\n";
 
-  std::vector<std::string> transcripts;
-  for (const int flavor : {0, 1, 2}) {
+  std::string transcript;
+  {
     QueryService service(gen_.graph, {});
     EpochManager epochs;
     epochs.Install(MakeUnownedEpoch(&service, 1));
-    std::unique_ptr<Server> threaded;
-    std::unique_ptr<ReactorServer> reactor;
-    int port = 0;
-    if (flavor == 0) {
-      threaded = std::make_unique<Server>(&epochs, &pool_);
-      ASSERT_EQ(threaded->Start(), "");
-      port = threaded->Port();
-    } else {
-      ReactorOptions options;
-      options.batch = flavor == 1;
-      reactor = std::make_unique<ReactorServer>(&epochs, &pool_, options);
-      ASSERT_EQ(reactor->Start(), "");
-      port = reactor->Port();
-    }
-
-    Client client(port);
+    ReactorServer server(&epochs, &pool_);
+    ASSERT_EQ(server.Start(), "");
+    Client client(server.Port());
     ASSERT_TRUE(client.Connected());
     ASSERT_TRUE(client.SendRaw(script));
     client.ShutdownWrite();
-    transcripts.push_back(client.ReadAll());
-
-    if (threaded != nullptr) threaded->Stop();
-    if (reactor != nullptr) reactor->Stop();
+    transcript = client.ReadAll();
+    server.Stop();
   }
 
-  ASSERT_EQ(transcripts.size(), 3u);
+  QueryService reference(gen_.graph, {});
+  EpochManager reference_epochs;
+  reference_epochs.Install(MakeUnownedEpoch(&reference, 1));
+  std::string expected;
+  for (const std::string& line : lines) {
+    std::string response;
+    if (!HandleAdminLine(&reference_epochs, line, &response)) {
+      response = reference.Handle(line);
+    }
+    expected += response + "\n";
+  }
+
   std::size_t newlines = 0;
-  for (char c : transcripts[0]) newlines += c == '\n' ? 1 : 0;
+  for (char c : transcript) newlines += c == '\n' ? 1 : 0;
   EXPECT_EQ(newlines, expected_lines);
-  EXPECT_EQ(transcripts[0], transcripts[1]) << "threaded vs reactor-batch";
-  EXPECT_EQ(transcripts[0], transcripts[2]) << "threaded vs reactor-nobatch";
+  EXPECT_EQ(transcript, expected);
 }
 
 // Admission charges one slot per BATCH: a deep pipelined burst on a single
@@ -316,9 +349,8 @@ TEST_F(ReactorTest, RejectsConnectionsBeyondTheCap) {
   ASSERT_TRUE(first.Connected());
   ASSERT_NE(first.RoundTrip(R"({"op":"health"})"), "");
 
-  // The reactor's transport closes an over-cap connection at accept time
-  // without a response line (the threaded server, which already has a
-  // per-connection thread at that point, says "overloaded" first).
+  // The transport closes an over-cap connection at accept time without a
+  // response line: the client reads EOF.
   Client second(server.Port());
   ASSERT_TRUE(second.Connected());
   second.Send(R"({"op":"health"})");
@@ -358,6 +390,52 @@ TEST_F(ReactorTest, StopDrainsWithoutTearingResponses) {
   }
 }
 
+// A client that already has its answer is closed by the drain, and a second
+// Stop() is a no-op.
+TEST_F(ReactorTest, StopClosesAnsweredClientsAndIsIdempotent) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  EXPECT_TRUE(MustParse(client.RoundTrip(ImpactLine(1, 1))).Find("ok")->AsBool());
+
+  server.Stop();
+  EXPECT_EQ(client.ReadLine(), "");  // connection closed by the drain
+  const ServerStats stopped = server.Stats();
+  server.Stop();
+  EXPECT_EQ(server.Stats().accepted, stopped.accepted);
+  EXPECT_EQ(server.Stats().connections, 0u);
+}
+
+// Start installs the server's Stats() as the stats provider of the service it
+// serves, and the service outlives every server here. Stop must take the
+// provider back out: a "stats" answer after the server is gone has no
+// "server" object (and must not call into the destroyed server).
+TEST_F(ReactorTest, StartStopCyclesDoNotLeakState) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  for (int i = 0; i < 3; ++i) {
+    {
+      ReactorServer server(&epochs, &pool_);
+      ASSERT_EQ(server.Start(), "") << "cycle " << i;
+      Client client(server.Port());
+      ASSERT_TRUE(client.Connected());
+      const util::Json served =
+          MustParse(client.RoundTrip(R"({"op":"stats"})"));
+      EXPECT_NE(served.Find("server"), nullptr) << "cycle " << i;
+      server.Stop();
+    }
+    const util::Json after = MustParse(service.Handle(R"({"op":"stats"})"));
+    EXPECT_TRUE(after.Find("ok")->AsBool());
+    EXPECT_EQ(after.Find("server"), nullptr) << "cycle " << i;
+  }
+}
+
 TEST_F(ReactorTest, StatsReportsReactorCounters) {
   QueryService service(gen_.graph, {});
   EpochManager epochs;
@@ -376,6 +454,124 @@ TEST_F(ReactorTest, StatsReportsReactorCounters) {
   EXPECT_GE(stats.Find("server")->Find("connections")->AsDouble(), 1.0);
   ASSERT_NE(stats.Find("latency"), nullptr);
   EXPECT_NE(stats.Find("latency")->Find("p999_us"), nullptr);
+  server.Stop();
+}
+
+// --- wire contract -----------------------------------------------------------
+
+// The client-visible contract asppi_serve has kept since its first TCP front
+// end: one request per write, one response line per request, shedding with
+// an "overloaded" error line, and a hard connection cap. Each case drives
+// the server the way a plain line-at-a-time client does, where the
+// ReactorTest cases above pipeline whole scripts.
+class ServerTest : public ReactorTest {};
+
+TEST_F(ServerTest, AnswersAllFiveOpsOverTcp) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+  const int port = server.Port();
+  ASSERT_GT(port, 0);
+
+  Client client(port);
+  ASSERT_TRUE(client.Connected());
+  const std::string impact = ImpactLine(0, 0);
+  const std::string detect =
+      R"({"op":"detect","victim":)" + std::to_string(gen_.stubs[0]) +
+      R"(,"attacker":)" + std::to_string(gen_.tier2[0]) + "}";
+  for (const std::string& line :
+       {impact, detect, RouteLine(0, 0), std::string(R"({"op":"stats"})"),
+        std::string(R"({"op":"health"})")}) {
+    EXPECT_TRUE(MustParse(client.RoundTrip(line)).Find("ok")->AsBool())
+        << line;
+  }
+
+  // The wire answer is byte-identical to a direct Handle() call.
+  EXPECT_EQ(client.RoundTrip(impact), service.Handle(impact));
+
+  server.Stop();
+  // Stopped means the listener is gone: a late client is refused outright or
+  // reads EOF without an answer.
+  Client late(port);
+  if (late.Connected()) {
+    late.Send(R"({"op":"health"})");
+    EXPECT_EQ(late.ReadLine(), "");
+  }
+}
+
+TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  std::vector<std::string> lines;
+  for (int i = 0; i < 6; ++i) lines.push_back(RouteLine(i, 0));
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  // One write per request, all sent before reading anything: however the
+  // writes split into batches, responses come back in request order.
+  for (const std::string& line : lines) ASSERT_TRUE(client.Send(line));
+  for (const std::string& line : lines) {
+    EXPECT_EQ(client.ReadLine(), service.Handle(line));
+  }
+  server.Stop();
+}
+
+TEST_F(ServerTest, ShedsLoadWithOverloadedResponses) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorOptions options;
+  options.max_inflight = 0;  // every request is over budget
+  ReactorServer server(&epochs, &pool_, options);
+  ASSERT_EQ(server.Start(), "");
+
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  // Shedding answers each request with an error line and keeps the
+  // connection open, so the same client is shed again on its next request.
+  for (int i = 0; i < 2; ++i) {
+    const util::Json json = MustParse(client.RoundTrip(R"({"op":"health"})"));
+    EXPECT_FALSE(json.Find("ok")->AsBool()) << "request " << i;
+    EXPECT_EQ(json.Find("error")->AsString(), "overloaded") << "request " << i;
+  }
+
+  server.Stop();
+  EXPECT_GE(server.Stats().overload_rejects, 2u);
+}
+
+TEST_F(ServerTest, RejectsConnectionsBeyondTheCap) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorOptions options;
+  options.max_connections = 1;
+  ReactorServer server(&epochs, &pool_, options);
+  ASSERT_EQ(server.Start(), "");
+
+  Client first(server.Port());
+  ASSERT_TRUE(first.Connected());
+  // Pin the slot with a real round trip so the acceptor has surely seen it.
+  ASSERT_NE(first.RoundTrip(R"({"op":"health"})"), "");
+
+  // The over-cap connection is closed at accept time without a response
+  // line (no "overloaded" line first): the client reads EOF.
+  Client second(server.Port());
+  ASSERT_TRUE(second.Connected());
+  second.Send(R"({"op":"health"})");
+  EXPECT_EQ(second.ReadLine(), "");
+
+  // The admitted connection keeps its slot and its service; the reject is
+  // counted as an overload, not as an accepted connection.
+  EXPECT_TRUE(
+      MustParse(first.RoundTrip(R"({"op":"health"})")).Find("ok")->AsBool());
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_GE(stats.overload_rejects, 1u);
   server.Stop();
 }
 
@@ -419,8 +615,8 @@ TEST_F(ReactorReloadTest, ReloadSwapsEpochsWithoutDroppingQueries) {
   ASSERT_TRUE(client.Connected());
   EXPECT_EQ(client.RoundTrip(line), from_a);
 
-  // The admin op swaps generations over the same wire protocol both servers
-  // share; the response names the new epoch.
+  // The admin op swaps generations over the query wire protocol; the
+  // response names the new epoch.
   const util::Json ack = MustParse(client.RoundTrip(R"({"op":"reload"})"));
   EXPECT_TRUE(ack.Find("ok")->AsBool());
   EXPECT_EQ(ack.Find("epoch")->AsDouble(), 2.0);

@@ -1,17 +1,11 @@
 // The serve subsystem: protocol parsing/validation, QueryService equivalence
 // with direct library computation (the acceptance property — a what-if answer
-// over the wire is byte-for-byte what the batch tools compute), result-cache
-// correctness, and the TCP server's ordering, concurrency, overload, and
-// graceful-drain behavior. The concurrent suites are the TSan targets.
+// over the wire is byte-for-byte what the batch tools compute), and
+// result-cache correctness. The concurrent suite is a TSan target. The TCP
+// front end's behavior is pinned in reactor_test.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,11 +14,9 @@
 #include "defense/deployment.h"
 #include "defense/policy.h"
 #include "serve/protocol.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "topology/generator.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace asppi::serve {
 namespace {
@@ -642,242 +634,6 @@ TEST_F(ServiceTest, ConcurrentMixedHandleIsRaceFree) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-}
-
-// --- TCP server --------------------------------------------------------------
-
-// Minimal blocking NDJSON client for loopback tests.
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    connected_ = fd_ >= 0 &&
-                 ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  bool Connected() const { return connected_; }
-
-  bool Send(const std::string& line) {
-    const std::string framed = line + "\n";
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-      const ssize_t n =
-          ::send(fd_, framed.data() + sent, framed.size() - sent, 0);
-      if (n <= 0) return false;
-      sent += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  // Blocks until one full response line arrives ("" on EOF/error).
-  std::string ReadLine() {
-    while (true) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::string RoundTrip(const std::string& line) {
-    if (!Send(line)) return "";
-    return ReadLine();
-  }
-
- private:
-  int fd_ = -1;
-  bool connected_ = false;
-  std::string buffer_;
-};
-
-class ServerTest : public ::testing::Test {
- protected:
-  ServerTest() : gen_(TestTopology()), pool_(4) {}
-
-  topo::GeneratedTopology gen_;
-  util::ThreadPool pool_;
-};
-
-TEST_F(ServerTest, AnswersAllFiveOpsOverTcp) {
-  QueryService service(gen_.graph, {});
-  Server server(&service, &pool_);
-  ASSERT_EQ(server.Start(), "");
-  ASSERT_GT(server.Port(), 0);
-
-  Client client(server.Port());
-  ASSERT_TRUE(client.Connected());
-
-  const std::string impact =
-      R"({"op":"impact","victim":)" + std::to_string(gen_.stubs[0]) +
-      R"(,"attacker":)" + std::to_string(gen_.tier2[0]) + "}";
-  EXPECT_TRUE(MustParse(client.RoundTrip(impact)).Find("ok")->AsBool());
-  const std::string detect =
-      R"({"op":"detect","victim":)" + std::to_string(gen_.stubs[0]) +
-      R"(,"attacker":)" + std::to_string(gen_.tier2[0]) + "}";
-  EXPECT_TRUE(MustParse(client.RoundTrip(detect)).Find("ok")->AsBool());
-  const std::string route =
-      R"({"op":"route","origin":)" + std::to_string(gen_.stubs[0]) +
-      R"(,"observer":)" + std::to_string(gen_.tier1[0]) + "}";
-  EXPECT_TRUE(MustParse(client.RoundTrip(route)).Find("ok")->AsBool());
-  EXPECT_TRUE(
-      MustParse(client.RoundTrip(R"({"op":"stats"})")).Find("ok")->AsBool());
-  EXPECT_TRUE(
-      MustParse(client.RoundTrip(R"({"op":"health"})")).Find("ok")->AsBool());
-
-  // The wire answer is byte-identical to a direct Handle() call.
-  EXPECT_EQ(client.RoundTrip(impact), service.Handle(impact));
-
-  server.Stop();
-  EXPECT_FALSE(server.Running());
-}
-
-TEST_F(ServerTest, PipelinedRequestsAnswerInOrder) {
-  QueryService service(gen_.graph, {});
-  Server server(&service, &pool_);
-  ASSERT_EQ(server.Start(), "");
-
-  std::vector<std::string> lines;
-  for (int i = 0; i < 6; ++i) {
-    lines.push_back(R"({"op":"route","origin":)" +
-                    std::to_string(gen_.stubs[i]) + R"(,"observer":)" +
-                    std::to_string(gen_.tier1[0]) + "}");
-  }
-  Client client(server.Port());
-  ASSERT_TRUE(client.Connected());
-  // Fire the whole batch before reading anything: responses must come back
-  // in request order.
-  for (const std::string& line : lines) ASSERT_TRUE(client.Send(line));
-  for (const std::string& line : lines) {
-    EXPECT_EQ(client.ReadLine(), service.Handle(line));
-  }
-  server.Stop();
-}
-
-TEST_F(ServerTest, ConcurrentConnectionsGetConsistentAnswers) {
-  // TSan target: several connections in flight at once, each pinning its
-  // responses against the single-threaded reference.
-  QueryService service(gen_.graph, {});
-  Server server(&service, &pool_);
-  ASSERT_EQ(server.Start(), "");
-
-  QueryService reference(gen_.graph, {});
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 6; ++c) {
-    clients.emplace_back([&, c] {
-      Client client(server.Port());
-      if (!client.Connected()) {
-        failures.fetch_add(1);
-        return;
-      }
-      for (int i = 0; i < 10; ++i) {
-        const topo::Asn origin = gen_.stubs[(c + i) % 8];
-        const std::string line =
-            R"({"op":"route","origin":)" + std::to_string(origin) +
-            R"(,"observer":)" + std::to_string(gen_.tier1[c % 2]) + "}";
-        if (client.RoundTrip(line) != reference.Handle(line)) {
-          failures.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (auto& thread : clients) thread.join();
-  EXPECT_EQ(failures.load(), 0);
-
-  server.Stop();
-  const auto counters = server.GetCounters();
-  EXPECT_EQ(counters.accepted, 6u);
-  EXPECT_EQ(counters.overload_rejects, 0u);
-}
-
-TEST_F(ServerTest, ShedsLoadWithOverloadedResponses) {
-  QueryService service(gen_.graph, {});
-  ServerOptions options;
-  options.max_inflight = 0;  // every request is over budget
-  Server server(&service, &pool_, options);
-  ASSERT_EQ(server.Start(), "");
-
-  Client client(server.Port());
-  ASSERT_TRUE(client.Connected());
-  const util::Json json = MustParse(client.RoundTrip(R"({"op":"health"})"));
-  EXPECT_FALSE(json.Find("ok")->AsBool());
-  EXPECT_EQ(json.Find("error")->AsString(), "overloaded");
-
-  server.Stop();
-  EXPECT_GE(server.GetCounters().overload_rejects, 1u);
-}
-
-TEST_F(ServerTest, RejectsConnectionsBeyondTheCap) {
-  QueryService service(gen_.graph, {});
-  ServerOptions options;
-  options.max_connections = 1;
-  Server server(&service, &pool_, options);
-  ASSERT_EQ(server.Start(), "");
-
-  Client first(server.Port());
-  ASSERT_TRUE(first.Connected());
-  // Pin the slot with a real round trip so the acceptor has surely seen it.
-  ASSERT_NE(first.RoundTrip(R"({"op":"health"})"), "");
-
-  Client second(server.Port());
-  ASSERT_TRUE(second.Connected());
-  // The over-cap connection gets one overloaded line, then EOF.
-  const std::string line = second.ReadLine();
-  const util::Json json = MustParse(line);
-  EXPECT_EQ(json.Find("error")->AsString(), "overloaded");
-  EXPECT_EQ(second.ReadLine(), "");
-
-  server.Stop();
-}
-
-TEST_F(ServerTest, StopDrainsInFlightWork) {
-  QueryService service(gen_.graph, {});
-  Server server(&service, &pool_);
-  ASSERT_EQ(server.Start(), "");
-
-  // A client mid-conversation when Stop() lands still gets every response it
-  // was owed before its connection closes.
-  Client client(server.Port());
-  ASSERT_TRUE(client.Connected());
-  const std::string line =
-      R"({"op":"impact","victim":)" + std::to_string(gen_.stubs[1]) +
-      R"(,"attacker":)" + std::to_string(gen_.tier2[1]) + "}";
-  ASSERT_TRUE(client.Send(line));
-  const std::string response = client.ReadLine();
-  EXPECT_TRUE(MustParse(response).Find("ok")->AsBool());
-
-  server.Stop();
-  EXPECT_FALSE(server.Running());
-  EXPECT_EQ(client.ReadLine(), "");  // connection closed by drain
-
-  server.Stop();  // idempotent
-}
-
-TEST_F(ServerTest, StartStopCyclesDoNotLeakState) {
-  QueryService service(gen_.graph, {});
-  for (int i = 0; i < 3; ++i) {
-    Server server(&service, &pool_);
-    ASSERT_EQ(server.Start(), "") << "cycle " << i;
-    Client client(server.Port());
-    ASSERT_TRUE(client.Connected());
-    EXPECT_TRUE(
-        MustParse(client.RoundTrip(R"({"op":"health"})")).Find("ok")->AsBool());
-    server.Stop();
-  }
 }
 
 }  // namespace

@@ -9,12 +9,11 @@
 // reload (serve/protocol.h). A snapshot carrying a kDefense section serves
 // every what-if with that deployment active as the engines' import filter.
 //
-// Two servers share the protocol byte-for-byte:
-//   --server=reactor  (default) N epoll/poll event-loop shards (src/net/),
-//                     connections far beyond the thread count, requests
-//                     drained per readiness event and executed as batches;
-//   --server=threaded the thread-per-connection front end — the baseline
-//                     perf_serve compares the reactor against.
+// The front end is serve::ReactorServer: --shards epoll/poll event-loop
+// shards (src/net/, backend picked from the platform) carry connections far
+// beyond the thread count; the lines a connection delivers in one readiness
+// event execute on the --threads pool as one batch, and --max-inflight
+// bounds those batches.
 //
 // Hot reload: SIGHUP (or a {"op":"reload"} line) rebuilds the serving stack
 // from the snapshot path and atomically swaps it in as a new epoch;
@@ -30,7 +29,6 @@
 #include "bench/experiment.h"
 #include "serve/epoch.h"
 #include "serve/reactor.h"
-#include "serve/server.h"
 #include "serve/service.h"
 #include "util/metrics.h"
 
@@ -55,15 +53,7 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("snapshot", "",
                          "binary snapshot (asppi_snapshot output) to serve "
                          "(overrides --topo)");
-  e.Flags().DefineString("server", "reactor",
-                         "front end: 'reactor' (event-loop shards) or "
-                         "'threaded' (thread per connection)");
-  e.Flags().DefineUint("shards", 2, "reactor event-loop shard count");
-  e.Flags().DefineString("backend", "auto",
-                         "reactor readiness backend: auto|epoll|poll");
-  e.Flags().DefineBool("batch", true,
-                       "reactor: execute readiness batches through "
-                       "HandleBatch (false = per-line, the ablation)");
+  e.Flags().DefineUint("shards", 2, "event-loop shard count");
   e.Flags().DefineUint("port", 0, "TCP port (0 = pick an ephemeral port)");
   e.Flags().DefineString("port-file", "",
                          "write the bound port number to this file once "
@@ -72,15 +62,17 @@ int main(int argc, char** argv) {
   e.Flags().DefineUint("monitors", 30, "default top-degree vantage count");
   e.Flags().DefineUint("cache", 4096,
                        "result-cache entry budget (0 disables caching)");
-  e.Flags().DefineUint("max-conns", 0,
-                       "concurrent connection bound (0 = server default: "
-                       "64 threaded, 1024 reactor)");
+  e.Flags().DefineUint("max-conns", 1024,
+                       "concurrent connection bound (connections beyond it "
+                       "are closed without a response)");
   e.Flags().DefineUint("max-inflight", 128,
-                       "queued-or-executing request bound (beyond it, "
-                       "requests get an 'overloaded' response)");
+                       "queued-or-executing batch bound, one batch being the "
+                       "lines one connection delivered together (beyond it, "
+                       "every line of the batch gets an 'overloaded' "
+                       "response)");
   e.Flags().DefineInt("deadline-ms", 10000,
-                      "queue-wait deadline per request (stale work is shed "
-                      "with a 'deadline exceeded' response)");
+                      "queue-wait deadline per batch (a stale batch is shed, "
+                      "each line answered 'deadline exceeded')");
   e.Flags().DefineInt("slow-ms", 1000, "slow-query log threshold");
   e.Flags().DefineInt("duration", 0,
                       "exit after this many seconds (0 = run until signal)");
@@ -91,16 +83,6 @@ int main(int argc, char** argv) {
       snapshot_path.empty() ? e.Flags().GetString("topo") : snapshot_path;
   if (path.empty()) {
     std::fprintf(stderr, "need --snapshot (or --topo)\n");
-    return 1;
-  }
-  const std::string& server_kind = e.Flags().GetString("server");
-  if (server_kind != "reactor" && server_kind != "threaded") {
-    std::fprintf(stderr, "--server must be 'reactor' or 'threaded'\n");
-    return 1;
-  }
-  net::PollerBackend backend = net::PollerBackend::kAuto;
-  if (!net::ParsePollerBackend(e.Flags().GetString("backend"), &backend)) {
-    std::fprintf(stderr, "--backend must be auto|epoll|poll\n");
     return 1;
   }
 
@@ -152,65 +134,40 @@ int main(int argc, char** argv) {
            epoch->service->Graph().NumLinks());
   }
 
-  const std::size_t max_conns =
+  serve::ReactorOptions options;
+  options.port = static_cast<int>(e.Flags().GetUint("port"));
+  options.shards = static_cast<int>(e.Flags().GetUint("shards"));
+  options.max_connections =
       static_cast<std::size_t>(e.Flags().GetUint("max-conns"));
-  std::unique_ptr<serve::Server> threaded;
-  std::unique_ptr<serve::ReactorServer> reactor;
-  int port = 0;
-  if (server_kind == "threaded") {
-    serve::ServerOptions options;
-    options.port = static_cast<int>(e.Flags().GetUint("port"));
-    if (max_conns != 0) options.max_connections = max_conns;
-    options.max_inflight =
-        static_cast<std::size_t>(e.Flags().GetUint("max-inflight"));
-    options.deadline_ms = static_cast<int>(e.Flags().GetInt("deadline-ms"));
-    options.slow_query_ms = static_cast<int>(e.Flags().GetInt("slow-ms"));
-    threaded = std::make_unique<serve::Server>(&epochs, e.Pool(), options);
-    const std::string err = threaded->Start();
+  options.max_inflight =
+      static_cast<std::size_t>(e.Flags().GetUint("max-inflight"));
+  options.deadline_ms = static_cast<int>(e.Flags().GetInt("deadline-ms"));
+  options.slow_query_ms = static_cast<int>(e.Flags().GetInt("slow-ms"));
+  serve::ReactorServer server(&epochs, e.Pool(), options);
+  {
+    const std::string err = server.Start();
     if (!err.empty()) {
       std::fprintf(stderr, "error starting server: %s\n", err.c_str());
       return 1;
     }
-    port = threaded->Port();
-  } else {
-    serve::ReactorOptions options;
-    options.port = static_cast<int>(e.Flags().GetUint("port"));
-    options.shards = static_cast<int>(e.Flags().GetUint("shards"));
-    options.backend = backend;
-    options.batch = e.Flags().GetBool("batch");
-    if (max_conns != 0) options.max_connections = max_conns;
-    options.max_inflight =
-        static_cast<std::size_t>(e.Flags().GetUint("max-inflight"));
-    options.deadline_ms = static_cast<int>(e.Flags().GetInt("deadline-ms"));
-    options.slow_query_ms = static_cast<int>(e.Flags().GetInt("slow-ms"));
-    reactor = std::make_unique<serve::ReactorServer>(&epochs, e.Pool(),
-                                                     options);
-    const std::string err = reactor->Start();
-    if (!err.empty()) {
-      std::fprintf(stderr, "error starting server: %s\n", err.c_str());
-      return 1;
-    }
-    port = reactor->Port();
-    e.Note("reactor: %u shard(s), %s backend, batch=%d",
-           static_cast<unsigned>(e.Flags().GetUint("shards")),
-           net::PollerBackendName(reactor->Backend()),
-           options.batch ? 1 : 0);
   }
+  const int port = server.Port();
+  e.Note("reactor: %u shard(s), %s backend",
+         static_cast<unsigned>(e.Flags().GetUint("shards")),
+         net::PollerBackendName(server.Backend()));
 
   const std::string& port_file = e.Flags().GetString("port-file");
   if (!port_file.empty()) {
     std::FILE* f = std::fopen(port_file.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "error writing %s\n", port_file.c_str());
-      if (threaded) threaded->Stop();
-      if (reactor) reactor->Stop();
       return 1;
     }
     std::fprintf(f, "%d\n", port);
     std::fclose(f);
   }
 
-  e.Note("serving on port %d (%s server)", port, server_kind.c_str());
+  e.Note("serving on port %d", port);
   std::fflush(stdout);
 
   std::signal(SIGINT, HandleSignal);
@@ -242,18 +199,8 @@ int main(int argc, char** argv) {
   }
 
   // Graceful drain: stop accepting, let in-flight requests finish and flush.
-  serve::ServerStats stats;
-  if (threaded) {
-    threaded->Stop();
-    const serve::Server::Counters counters = threaded->GetCounters();
-    stats.accepted = counters.accepted;
-    stats.overload_rejects = counters.overload_rejects;
-    stats.deadline_exceeded = counters.deadline_exceeded;
-    stats.slow_queries = counters.slow_queries;
-  } else {
-    reactor->Stop();
-    stats = reactor->Stats();
-  }
+  server.Stop();
+  const serve::ServerStats stats = server.Stats();
   e.Note("drained: %llu connection(s), %llu overload reject(s), "
          "%llu deadline(s), %llu slow, %llu batch(es)",
          static_cast<unsigned long long>(stats.accepted),
