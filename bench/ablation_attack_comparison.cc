@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
 
   // All three attack models share the same (victim, λ) attack-free baseline;
   // the cache computes it once.
-  attack::AttackSimulator simulator(topology.graph, e.Baseline(), e.Engine());
+  attack::AttackSimulator simulator(topology.graph, e.Baseline());
   struct NamedOutcome {
     const char* name;
     attack::AttackOutcome outcome;

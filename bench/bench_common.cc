@@ -7,10 +7,9 @@ std::vector<SweepRow> LambdaSweep(const topo::AsGraph& graph,
                                   int max_lambda, bool violate_valley_free,
                                   util::ThreadPool* pool,
                                   attack::BaselineCache* baseline_cache,
-                                  attack::EngineKind engine,
                                   const bgp::ImportFilter* filter) {
   if (max_lambda < 1) return {};
-  attack::AttackSimulator simulator(graph, baseline_cache, engine);
+  attack::AttackSimulator simulator(graph, baseline_cache);
   std::vector<SweepRow> rows(static_cast<std::size_t>(max_lambda));
   util::ParallelFor(pool, rows.size(), [&](std::size_t i) {
     const int lambda = static_cast<int>(i) + 1;

@@ -37,8 +37,6 @@ std::vector<SweepRow> LambdaSweep(const topo::AsGraph& graph,
                                   int max_lambda, bool violate_valley_free,
                                   util::ThreadPool* pool = nullptr,
                                   attack::BaselineCache* baseline_cache = nullptr,
-                                  attack::EngineKind engine =
-                                      attack::EngineKind::kDelta,
                                   const bgp::ImportFilter* filter = nullptr);
 
 // Formats a λ-sweep as the paper's figures do (percent polluted per λ).

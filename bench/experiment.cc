@@ -30,22 +30,6 @@ Experiment::Experiment(std::string name, std::string caption)
                       "to this path");
   flags_.DefineBool("metrics", false,
                     "print the metrics registry after the run");
-  flags_.DefineString("engine", "delta",
-                      "convergence engine for attacked states: 'delta' "
-                      "(incremental wavefront, default) or 'full' (from-"
-                      "scratch Resume; the reference)");
-}
-
-attack::EngineKind Experiment::Engine() const {
-  const std::string& name = flags_.GetString("engine");
-  if (name == "full") return attack::EngineKind::kFull;
-  if (name != "delta") {
-    std::fprintf(stderr,
-                 "warning: unknown --engine '%s', using 'delta' "
-                 "(valid: full, delta)\n",
-                 name.c_str());
-  }
-  return attack::EngineKind::kDelta;
 }
 
 Experiment& Experiment::WithThreadsFlag() {

@@ -114,10 +114,6 @@ class Experiment {
   // error line and returns false; main() should return 1.
   bool AsnFlag(const std::string& name, topo::Asn* out) const;
 
-  // The --engine selection (registered on every experiment): delta (the
-  // default) or full, with a warning and delta fallback on unknown values.
-  attack::EngineKind Engine() const;
-
   // Thread pool sized by --threads (lazily built; requires a threads flag).
   // Outputs are bit-identical for any --threads value.
   util::ThreadPool* Pool();

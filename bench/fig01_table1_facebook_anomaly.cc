@@ -23,7 +23,7 @@ using topo::fb::kLevel3;
 using topo::fb::kNtt;
 using topo::fb::kSkTelecom;
 
-template <typename State>  // PropagationResult or RoutingView
+template <typename State>  // PropagationResult or DeltaResult
 void PrintRoutes(const char* title, const State& result) {
   std::printf("%s\n", title);
   for (topo::Asn asn : {kLevel3, kAtt, kNtt, kChinaTelecom, kSkTelecom}) {

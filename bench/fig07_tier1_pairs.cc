@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   options.lambda = lambda;
   options.pool = e.Pool();
   options.baseline_cache = e.Baseline();
-  options.engine = e.Engine();
   options.filter = deployment.get();
   options.export_stripped_to_peers = true;
   auto aggressive =

@@ -45,7 +45,6 @@ int main(int argc, char** argv) {
   attack::PairSweepOptions options;
   options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   options.pool = e.Pool();
-  options.engine = e.Engine();
   options.filter = deployment.get();
   auto results =
       strategy::RunModelPairSweep(topology.graph, pairs, *model, options);

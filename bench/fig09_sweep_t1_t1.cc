@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
                                  scenario.attacker,
                                  static_cast<int>(e.Flags().GetInt("max_lambda")),
                                  /*violate_valley_free=*/false, e.Pool(),
-                                 e.Baseline(), e.Engine(), deployment.get());
+                                 e.Baseline(), deployment.get());
   e.PrintTable(
       bench::SweepTable(rows, "pct_after_hijack", "pct_before_hijack"));
   e.Note(

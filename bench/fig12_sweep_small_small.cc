@@ -32,11 +32,11 @@ int main(int argc, char** argv) {
   auto obey = bench::LambdaSweep(topology.graph, scenario.victim,
                                  scenario.attacker, max_lambda,
                                  /*violate_valley_free=*/false, e.Pool(),
-                                 e.Baseline(), e.Engine(), deployment.get());
+                                 e.Baseline(), deployment.get());
   auto violate = bench::LambdaSweep(topology.graph, scenario.victim,
                                     scenario.attacker, max_lambda,
                                     /*violate_valley_free=*/true, e.Pool(),
-                                    e.Baseline(), e.Engine(), deployment.get());
+                                    e.Baseline(), deployment.get());
 
   util::Table table({"num_prepending_asns", "pct_follow_valley_free",
                      "pct_violate_routing_policy", "pct_before_hijack"});

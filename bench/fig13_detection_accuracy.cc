@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   auto pairs = attack::SampleRandomPairs(topology, e.Flags().GetUint("instances"),
                                          e.Flags().GetUint("seed") + 13);
-  attack::AttackSimulator simulator(topology.graph, e.Baseline(), e.Engine());
+  attack::AttackSimulator simulator(topology.graph, e.Baseline());
   detect::DetectionConfig config;
   config.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   config.victim_aware = e.Flags().GetBool("victim_aware");

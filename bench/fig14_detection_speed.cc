@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   auto pairs = attack::SampleRandomPairs(topology, e.Flags().GetUint("instances"),
                                          e.Flags().GetUint("seed") + 14);
-  attack::AttackSimulator simulator(topology.graph, e.Baseline(), e.Engine());
+  attack::AttackSimulator simulator(topology.graph, e.Baseline());
   auto monitors =
       detect::TopDegreeMonitors(topology.graph, e.Flags().GetUint("monitors"));
   detect::DetectionConfig config;

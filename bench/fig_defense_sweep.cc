@@ -11,11 +11,12 @@
 // of the experiment, not by luck of independent samples.
 //
 // Two acceptance gates, both of which fail the run (exit 1):
-//   * engines:  every point is recomputed on BOTH convergence engines and
-//               the attacked states must match bit-for-bit (fractions,
-//               pollution sets, best routes, Adj-RIB-In, sent flags, round
-//               counts) — the defense layer must not break full/delta
-//               equivalence. Disable with --verify-engines=false.
+//   * engines:  every reported outcome is checked against the Resume
+//               oracle (attack::DiffAgainstResume) and must match it
+//               bit-for-bit (fractions, pollution sets, best routes,
+//               Adj-RIB-In, sent flags, round counts) — the defense layer
+//               must not break the delta engine's equivalence with the full
+//               engine. Disable with --verify-engines=false.
 //   * monotone: within a strategy, mean pollution must not increase with the
 //               deployment fraction (equality allowed — ROV alone is blind
 //               to ASPP interception and yields a flat curve).
@@ -54,8 +55,8 @@ int main(int argc, char** argv) {
                          "policies every deployed AS runs: rov / pathval / "
                          "detector / all, or '+'-joined");
   e.Flags().DefineBool("verify-engines", true,
-                       "recompute every point on both engines and require "
-                       "bit-identical attacked states");
+                       "check every point against the Resume oracle and "
+                       "require bit-identical attacked states");
   if (!e.ParseFlags(argc, argv)) return 1;
 
   const bool smoke = e.Flags().GetBool("smoke");
@@ -89,7 +90,6 @@ int main(int argc, char** argv) {
   const topo::GeneratedTopology& topology = e.GenerateTopology(params);
   options.pool = e.Pool();
   options.baseline_cache = e.Baseline();
-  options.engine = e.Engine();
 
   e.Note("sweep: %zu fractions x 3 strategies, %zu pairs, lambda=%d, "
          "policies=%s%s",
@@ -137,11 +137,11 @@ int main(int argc, char** argv) {
   bool failed = false;
   if (options.verify_engines) {
     if (engines_agree) {
-      e.Note("equivalence: full and delta engines agree bit-identically at "
-             "every sweep point");
+      e.Note("equivalence: every sweep point matches the Resume oracle "
+             "bit-identically");
     } else {
-      e.Note("FAIL: full and delta engines diverged on a defended attack "
-             "state");
+      e.Note("FAIL: a defended attack state differs from the Resume "
+             "oracle");
       failed = true;
     }
   }

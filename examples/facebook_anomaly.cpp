@@ -13,7 +13,7 @@ using namespace asppi::topo::fb;
 
 namespace {
 
-template <typename State>  // PropagationResult or RoutingView
+template <typename State>  // PropagationResult or DeltaResult
 void ShowRoute(const State& state, topo::Asn asn,
                const char* name) {
   const auto& best = state.BestAt(asn);

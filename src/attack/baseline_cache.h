@@ -7,8 +7,7 @@
 // The baseline depends only on (origin, prepend policy), never on the
 // attacker, so it is memoized here and handed out as
 // shared_ptr<const PropagationResult>; AttackSimulator then warm-starts each
-// attack from it — via PropagationSimulator::Resume() (full engine) or
-// bgp::DeltaPropagator::Propagate() (delta engine, the default).
+// attack from it through bgp::DeltaPropagator::Propagate().
 //
 // Alongside the converged state, each entry carries a bgp::TraversalIndex
 // built once per baseline: it answers "how many ASes route through x?" in

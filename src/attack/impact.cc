@@ -1,9 +1,9 @@
 #include "attack/impact.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/check.h"
+#include "util/strings.h"
 
 namespace asppi::attack {
 
@@ -24,16 +24,29 @@ bool IsColluder(Asn asn, std::span<const Asn> colluders) {
   return std::binary_search(colluders.begin(), colluders.end(), asn);
 }
 
+// The paper's denominator excludes attacker and victim (n−2); a colluding
+// set excludes every colluder the same way.
+double PollutionDenominator(const topo::AsGraph& graph,
+                            std::span<const Asn> colluders) {
+  const std::size_t n = graph.NumAses();
+  const std::size_t excluded = colluders.size() + 1;
+  return n > excluded ? static_cast<double>(n - excluded) : 0.0;
+}
+
+std::string RenderRoute(const std::optional<bgp::Route>& route) {
+  if (!route.has_value()) return "<none>";
+  return util::Format("[%s] from AS%u", route->path.ToString().c_str(),
+                      static_cast<unsigned>(route->learned_from));
+}
+
 }  // namespace
 
 AttackSimulator::AttackSimulator(const topo::AsGraph& graph,
-                                 BaselineCache* baseline_cache,
-                                 EngineKind engine)
+                                 BaselineCache* baseline_cache)
     : graph_(graph),
       engine_(graph),
       delta_engine_(graph),
-      baseline_cache_(baseline_cache),
-      engine_kind_(engine) {
+      baseline_cache_(baseline_cache) {
   if (baseline_cache_ != nullptr) {
     ASPPI_CHECK(&baseline_cache_->Graph() == &graph)
         << "baseline cache built on a different graph";
@@ -71,102 +84,52 @@ AttackOutcome AttackSimulator::RunWithTransform(
         engine_.Run(announcement));
   }
 
-  const std::size_t n = graph_.NumAses();
-  // The paper's denominator excludes attacker and victim (n−2); a colluding
-  // set excludes every colluder the same way.
-  const std::size_t excluded = colluders.size() + 1;
-  const double denom = n > excluded ? static_cast<double>(n - excluded) : 0.0;
+  const double denom = PollutionDenominator(graph_, colluders);
   const std::vector<Asn> dirty(colluders.begin(), colluders.end());
-
-  if (engine_kind_ == EngineKind::kDelta) {
-    if (traversal == nullptr) {
-      traversal = std::make_shared<const bgp::TraversalIndex>(*outcome.before);
-    }
-    bgp::DeltaResult delta =
-        delta_engine_.Propagate(outcome.before, &transform, dirty, filter);
-    outcome.converged = delta.Converged();
-
-    // Incremental pollution accounting: only touched ASes can change
-    // traversal membership, so adjust the baseline's indexed count over the
-    // wavefront instead of re-scanning all n best paths. Touched indices are
-    // ascending, matching the dense-scan order of AsesTraversing — so
-    // newly_polluted comes out in the same order as the full engine's.
-    const auto& base_best = outcome.before->BestRoutes();
-    std::size_t before_count;
-    if (colluders.size() == 1) {
-      before_count = traversal->TraversingCount(attacker);
-    } else {
-      // The traversal index is single-ASN; a colluding set takes one dense
-      // scan of the shared baseline (amortized across runs by the cache).
-      before_count = 0;
-      for (std::size_t index = 0; index < base_best.size(); ++index) {
-        const Asn asn = graph_.AsnAt(static_cast<std::uint32_t>(index));
-        if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
-        if (TraversesAny(base_best[index], colluders)) ++before_count;
-      }
-    }
-    std::size_t after_count = before_count;
-    for (std::uint32_t index : delta.TouchedIndices()) {
-      const Asn asn = graph_.AsnAt(index);
-      if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
-      const bool was_p = TraversesAny(base_best[index], colluders);
-      const bool now_p = TraversesAny(delta.BestAtIndex(index), colluders);
-      if (now_p && !was_p) {
-        ++after_count;
-        outcome.newly_polluted.push_back(asn);
-      } else if (was_p && !now_p) {
-        --after_count;
-      }
-    }
-    if (denom > 0.0) {
-      outcome.fraction_before = static_cast<double>(before_count) / denom;
-      outcome.fraction_after = static_cast<double>(after_count) / denom;
-    }
-    outcome.after = std::move(delta);
-    return outcome;
+  if (traversal == nullptr) {
+    traversal = std::make_shared<const bgp::TraversalIndex>(*outcome.before);
   }
+  bgp::DeltaResult delta =
+      delta_engine_.Propagate(outcome.before, &transform, dirty, filter);
+  outcome.converged = delta.Converged();
 
-  bgp::PropagationResult after =
-      engine_.Resume(*outcome.before, &transform, dirty, filter);
-  outcome.converged = after.Converged();
-
+  // Incremental pollution accounting: only touched ASes can change traversal
+  // membership, so adjust the baseline's count over the wavefront instead of
+  // re-scanning all n best paths. Touched indices are ascending, so
+  // newly_polluted comes out in dense-index order — the order the oracle's
+  // dense scan (DiffAgainstResume) produces.
+  const auto& base_best = outcome.before->BestRoutes();
+  std::size_t before_count;
   if (colluders.size() == 1) {
-    // One traversal scan per state; fractions and the pollution delta all
-    // derive from these two sets (AsesTraversing is an O(n·pathlen) walk).
-    const std::vector<Asn> before_set =
-        outcome.before->AsesTraversing(attacker);
-    const std::vector<Asn> after_set = after.AsesTraversing(attacker);
-    if (denom > 0.0) {
-      outcome.fraction_before = static_cast<double>(before_set.size()) / denom;
-      outcome.fraction_after = static_cast<double>(after_set.size()) / denom;
-    }
-    std::unordered_set<Asn> before_lookup(before_set.begin(),
-                                          before_set.end());
-    for (Asn asn : after_set) {
-      if (!before_lookup.contains(asn)) outcome.newly_polluted.push_back(asn);
-    }
+    before_count = traversal->TraversingCount(attacker);
   } else {
-    // Colluding set: dense scan of both states with the any-colluder
-    // predicate, same index order as the delta engine's touched walk.
-    const auto& base_best = outcome.before->BestRoutes();
-    const auto& post_best = after.BestRoutes();
-    std::size_t before_count = 0;
-    std::size_t after_count = 0;
+    // The traversal index is single-ASN; a colluding set takes one dense
+    // scan of the baseline. Nothing caches it: it runs on every call.
+    before_count = 0;
     for (std::size_t index = 0; index < base_best.size(); ++index) {
       const Asn asn = graph_.AsnAt(static_cast<std::uint32_t>(index));
       if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
-      const bool was_p = TraversesAny(base_best[index], colluders);
-      const bool now_p = TraversesAny(post_best[index], colluders);
-      if (was_p) ++before_count;
-      if (now_p) ++after_count;
-      if (now_p && !was_p) outcome.newly_polluted.push_back(asn);
-    }
-    if (denom > 0.0) {
-      outcome.fraction_before = static_cast<double>(before_count) / denom;
-      outcome.fraction_after = static_cast<double>(after_count) / denom;
+      if (TraversesAny(base_best[index], colluders)) ++before_count;
     }
   }
-  outcome.after = std::move(after);
+  std::size_t after_count = before_count;
+  for (std::uint32_t index : delta.TouchedIndices()) {
+    const Asn asn = graph_.AsnAt(index);
+    if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
+    const bool was_p = TraversesAny(base_best[index], colluders);
+    const bool now_p = TraversesAny(delta.BestAtIndex(index), colluders);
+    if (now_p && !was_p) {
+      ++after_count;
+      outcome.newly_polluted.push_back(asn);
+    } else if (was_p && !now_p) {
+      --after_count;
+    }
+  }
+  if (denom > 0.0) {
+    outcome.fraction_before = static_cast<double>(before_count) / denom;
+    outcome.fraction_after = static_cast<double>(after_count) / denom;
+  }
+  outcome.after = std::move(delta);
   return outcome;
 }
 
@@ -247,7 +210,7 @@ std::vector<PairImpact> RunPairSweep(
   BaselineCache* cache = options.baseline_cache != nullptr
                              ? options.baseline_cache
                              : &local_cache;
-  AttackSimulator simulator(graph, cache, options.engine);
+  AttackSimulator simulator(graph, cache);
 
   std::vector<PairImpact> results(attacker_victim_pairs.size());
   util::ParallelFor(
@@ -271,15 +234,100 @@ std::vector<PairImpact> RunPairSweep(
   return results;
 }
 
-std::vector<PairImpact> RunPairSweep(
-    const topo::AsGraph& graph,
-    const std::vector<std::pair<Asn, Asn>>& attacker_victim_pairs, int lambda,
-    bool violate_valley_free, bool export_stripped_to_peers) {
-  PairSweepOptions options;
-  options.lambda = lambda;
-  options.violate_valley_free = violate_valley_free;
-  options.export_stripped_to_peers = export_stripped_to_peers;
-  return RunPairSweep(graph, attacker_victim_pairs, options);
+std::string DiffAgainstResume(const AttackOutcome& outcome,
+                              bgp::RouteTransform& transform,
+                              const bgp::ImportFilter* filter) {
+  ASPPI_CHECK(outcome.before != nullptr) << "outcome has no baseline";
+  const bgp::PropagationResult& before = *outcome.before;
+  const topo::AsGraph& graph = before.Graph();
+  const std::span<const Asn> colluders = outcome.colluders;
+  const bgp::PropagationResult want = bgp::PropagationSimulator(graph).Resume(
+      before, &transform, outcome.colluders, filter);
+  const bgp::PropagationResult got = outcome.after.Materialize();
+
+  if (got.Rounds() != want.Rounds()) {
+    return util::Format("rounds: outcome %d, Resume %d", got.Rounds(),
+                        want.Rounds());
+  }
+  if (outcome.converged != want.Converged() ||
+      got.Converged() != want.Converged()) {
+    return util::Format("converged: outcome %d (state %d), Resume %d",
+                        outcome.converged, got.Converged(), want.Converged());
+  }
+  for (std::size_t index = 0; index < graph.NumAses(); ++index) {
+    const unsigned asn = graph.AsnAt(static_cast<std::uint32_t>(index));
+    if (got.BestRoutes()[index] != want.BestRoutes()[index]) {
+      return util::Format("AS%u best route: outcome %s, Resume %s", asn,
+                          RenderRoute(got.BestRoutes()[index]).c_str(),
+                          RenderRoute(want.BestRoutes()[index]).c_str());
+    }
+    if (got.FirstChangeRounds()[index] != want.FirstChangeRounds()[index]) {
+      return util::Format("AS%u change round: outcome %d, Resume %d", asn,
+                          got.FirstChangeRounds()[index],
+                          want.FirstChangeRounds()[index]);
+    }
+    const std::span<const topo::Edge> neighbors =
+        graph.NeighborsAt(static_cast<topo::AsId>(index));
+    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+      const unsigned from = neighbors[slot].asn;
+      if (got.RibIn()[index][slot] != want.RibIn()[index][slot]) {
+        return util::Format(
+            "AS%u Adj-RIB-In slot for AS%u: outcome %s, Resume %s", asn, from,
+            RenderRoute(got.RibIn()[index][slot]).c_str(),
+            RenderRoute(want.RibIn()[index][slot]).c_str());
+      }
+      if (got.Sent()[index][slot] != want.Sent()[index][slot]) {
+        return util::Format("AS%u sent flag toward AS%u: outcome %d, Resume %d",
+                            asn, from, got.Sent()[index][slot],
+                            want.Sent()[index][slot]);
+      }
+    }
+  }
+
+  // Pollution, re-derived from the two dense states with one any-colluder
+  // scan (the production path counts incrementally over the wavefront).
+  const Asn origin = before.GetAnnouncement().origin;
+  std::size_t before_count = 0;
+  std::size_t after_count = 0;
+  std::vector<Asn> newly_polluted;
+  for (std::size_t index = 0; index < graph.NumAses(); ++index) {
+    const Asn asn = graph.AsnAt(static_cast<std::uint32_t>(index));
+    if (asn == origin || IsColluder(asn, colluders)) continue;
+    const bool was_p = TraversesAny(before.BestRoutes()[index], colluders);
+    const bool now_p = TraversesAny(want.BestRoutes()[index], colluders);
+    if (was_p) ++before_count;
+    if (now_p) ++after_count;
+    if (now_p && !was_p) newly_polluted.push_back(asn);
+  }
+  const double denom = PollutionDenominator(graph, colluders);
+  const double fraction_before =
+      denom > 0.0 ? static_cast<double>(before_count) / denom : 0.0;
+  const double fraction_after =
+      denom > 0.0 ? static_cast<double>(after_count) / denom : 0.0;
+  if (outcome.fraction_before != fraction_before) {
+    return util::Format("fraction_before: outcome %.17g, Resume %.17g",
+                        outcome.fraction_before, fraction_before);
+  }
+  if (outcome.fraction_after != fraction_after) {
+    return util::Format("fraction_after: outcome %.17g, Resume %.17g",
+                        outcome.fraction_after, fraction_after);
+  }
+  if (outcome.newly_polluted != newly_polluted) {
+    const auto [got_it, want_it] =
+        std::mismatch(outcome.newly_polluted.begin(),
+                      outcome.newly_polluted.end(), newly_polluted.begin(),
+                      newly_polluted.end());
+    const auto render = [](auto it, const std::vector<Asn>& list) {
+      return it == list.end() ? std::string("<end>")
+                              : "AS" + std::to_string(*it);
+    };
+    return util::Format(
+        "newly_polluted entry %zu: outcome %s, Resume %s",
+        static_cast<std::size_t>(got_it - outcome.newly_polluted.begin()),
+        render(got_it, outcome.newly_polluted).c_str(),
+        render(want_it, newly_polluted).c_str());
+  }
+  return "";
 }
 
 }  // namespace asppi::attack

@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "attack/baseline_cache.h"
@@ -15,15 +16,6 @@
 #include "util/thread_pool.h"
 
 namespace asppi::attack {
-
-// Which convergence engine computes the attacked state.
-//   kFull:  PropagationSimulator::Resume — copies the baseline, scans all n
-//           ASes per phase. The reference engine.
-//   kDelta: bgp::DeltaPropagator — propagates only the attack wavefront over
-//           the immutable baseline. Bit-identical results (enforced by
-//           tests/delta_test.cc and the fuzzer's delta-vs-full leg), 10–100×
-//           faster on sweeps. The default.
-enum class EngineKind { kFull, kDelta };
 
 // Everything measured for one attacker/victim instance.
 struct AttackOutcome {
@@ -45,10 +37,10 @@ struct AttackOutcome {
   // BaselineCache, every outcome against the same victim/policy points at
   // one memoized state instead of owning a recomputed copy.
   std::shared_ptr<const bgp::PropagationResult> before;
-  // Converged under the attack: a dense PropagationResult from the full
-  // engine, or a sparse baseline+overlay from the delta engine. Query API is
-  // identical either way; call .Full() where the dense RIB is truly needed.
-  bgp::RoutingView after;
+  // Converged under the attack: the delta engine's sparse overlay over
+  // `before`. Query API mirrors PropagationResult; call .Materialize() where
+  // the dense RIB is truly needed.
+  bgp::DeltaResult after;
 
   // False when the attacked re-convergence hit the engine round cap instead
   // of a fixpoint — possible under adversarial strategy:: programs whose
@@ -74,10 +66,11 @@ class AttackSimulator {
  public:
   // `baseline_cache` (optional, non-owning) memoizes the attack-free
   // baselines across runs; it must outlive the simulator and be built on the
-  // same graph. Without a cache every run computes its own baseline.
+  // same graph. Without a cache every run computes its own baseline. Attacked
+  // states always come from the delta engine (bgp::DeltaPropagator) over the
+  // baseline; DiffAgainstResume below checks one against the full engine.
   explicit AttackSimulator(const topo::AsGraph& graph,
-                           BaselineCache* baseline_cache = nullptr,
-                           EngineKind engine = EngineKind::kDelta);
+                           BaselineCache* baseline_cache = nullptr);
 
   // The ASPP-based interception attack: victim announces with λ prepends
   // (uniformly to all neighbors), attacker strips the padding. `filter`
@@ -124,7 +117,6 @@ class AttackSimulator {
   const bgp::PropagationSimulator& Engine() const { return engine_; }
   const topo::AsGraph& Graph() const { return graph_; }
   BaselineCache* GetBaselineCache() const { return baseline_cache_; }
-  EngineKind GetEngineKind() const { return engine_kind_; }
 
  private:
   AttackOutcome RunWithTransform(const bgp::Announcement& announcement,
@@ -140,8 +132,21 @@ class AttackSimulator {
   bgp::PropagationSimulator engine_;
   bgp::DeltaPropagator delta_engine_;
   BaselineCache* baseline_cache_ = nullptr;
-  EngineKind engine_kind_ = EngineKind::kDelta;
 };
+
+// The test oracle for every attacked state: re-runs the attack with
+// PropagationSimulator::Resume over `outcome.before` (the outcome's colluders
+// as the dirty set, `transform` and `filter` in effect), re-derives pollution
+// with one dense any-colluder scan, and compares bit for bit — round count,
+// `converged`, every best route, change round, Adj-RIB-In slot and sent flag,
+// both fractions and `newly_polluted`. Returns "" when the outcome matches,
+// else one line naming the first difference. `transform` must be a fresh
+// instance equivalent to the one that produced `outcome` (transforms may
+// carry per-run state). O(n + E) plus a full-engine resume: for tests and
+// verify modes, never for serving.
+std::string DiffAgainstResume(const AttackOutcome& outcome,
+                              bgp::RouteTransform& transform,
+                              const bgp::ImportFilter* filter = nullptr);
 
 // One row of the pair-sweep experiments (paper Figs. 7/8).
 struct PairImpact {
@@ -162,8 +167,6 @@ struct PairSweepOptions {
   // Baseline memoization (null = an internal cache private to this call —
   // repeated victims warm-start either way; pass one to share across calls).
   BaselineCache* baseline_cache = nullptr;
-  // Convergence engine for the attacked states (see EngineKind).
-  EngineKind engine = EngineKind::kDelta;
   // Import filter active during the attacked re-convergence (non-owning;
   // typically a defense::PolicySet). Baselines are computed filterless — see
   // AttackSimulator::RunAsppInterception.
@@ -177,11 +180,5 @@ std::vector<PairImpact> RunPairSweep(
     const topo::AsGraph& graph,
     const std::vector<std::pair<Asn, Asn>>& attacker_victim_pairs,
     const PairSweepOptions& options);
-
-// Back-compat convenience overload.
-std::vector<PairImpact> RunPairSweep(
-    const topo::AsGraph& graph,
-    const std::vector<std::pair<Asn, Asn>>& attacker_victim_pairs, int lambda,
-    bool violate_valley_free = false, bool export_stripped_to_peers = true);
 
 }  // namespace asppi::attack

@@ -476,15 +476,4 @@ bool DeltaPropagator::DecideDelta(Work& work, std::size_t u,
   return true;
 }
 
-// --- RoutingView ------------------------------------------------------------
-
-const PropagationResult& RoutingView::Full() const {
-  if (full_) return *full_;
-  ASPPI_CHECK(delta_.has_value()) << "empty RoutingView";
-  if (!materialized_) {
-    materialized_ = std::make_unique<PropagationResult>(delta_->Materialize());
-  }
-  return *materialized_;
-}
-
 }  // namespace asppi::bgp

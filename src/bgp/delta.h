@@ -23,8 +23,9 @@
 // graph's precomputed rank order (matching the full engine's IdsByRank
 // scans), and within a phase write disjoint state per worklist entry — so
 // the overlay composed over the baseline is bit-identical to Resume()'s
-// output, a claim enforced by tests/delta_test.cc and the fuzzer's
-// delta-vs-full leg.
+// output. Resume() survives only as the oracle that checks this claim
+// (attack::DiffAgainstResume, used by tests/delta_test.cc, the fuzzer and
+// the sweeps' verify modes).
 //
 // Termination: identical argument to the full engine (same synchronous
 // schedule, same Gao-Rexford-safe policy system), plus the same kMaxRounds
@@ -34,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "bgp/propagation.h"
@@ -99,8 +99,8 @@ struct DeltaRow {
 
 // The converged post-attack state as (immutable baseline + sparse overlay).
 // Query API mirrors PropagationResult; Materialize() produces the equivalent
-// dense PropagationResult (used by equivalence tests and anything that needs
-// the full RIB).
+// dense PropagationResult (for the Resume oracle and anything that needs the
+// full RIB).
 class DeltaResult {
  public:
   // --- PropagationResult-compatible queries --------------------------------
@@ -132,11 +132,14 @@ class DeltaResult {
 
   // Dense state equivalent to running the full engine's Resume() with the
   // same inputs: baseline copied, overlay applied, change rounds reset to
-  // the overlay's. O(E) — for tests and full-RIB consumers, not hot paths.
+  // the overlay's. O(E) — for the oracle and full-RIB consumers, not hot
+  // paths.
   PropagationResult Materialize() const;
 
  private:
   friend class DeltaPropagator;
+  // Corrupts overlays in tests, to prove the Resume oracle notices.
+  friend class DeltaResultTestPeer;
 
   // Overlay row of the AS at dense `index`, or nullptr if untouched.
   const DeltaRow* RowOf(std::size_t index) const;
@@ -179,68 +182,6 @@ class DeltaPropagator {
   static constexpr int kMaxRounds = 10000;
 
   const topo::AsGraph& graph_;
-};
-
-// Either a dense PropagationResult or a sparse DeltaResult, with the common
-// query API dispatched. AttackOutcome::after is one of these so every
-// consumer (detect/, serve/, benches, examples) works with both engines.
-// Full() returns the dense form, materializing lazily from a delta — cheap
-// for full-engine results, O(E) once for delta results. The lazy cache is
-// NOT thread-safe; share RoutingViews across threads only after Full() has
-// been called (or avoid Full() entirely on shared views).
-class RoutingView {
- public:
-  RoutingView() = default;
-  /*implicit*/ RoutingView(PropagationResult full) : full_(std::move(full)) {}
-  /*implicit*/ RoutingView(DeltaResult delta) : delta_(std::move(delta)) {}
-
-  RoutingView(const RoutingView& other)
-      : full_(other.full_), delta_(other.delta_) {}
-  RoutingView& operator=(const RoutingView& other) {
-    full_ = other.full_;
-    delta_ = other.delta_;
-    materialized_.reset();
-    return *this;
-  }
-  RoutingView(RoutingView&&) = default;
-  RoutingView& operator=(RoutingView&&) = default;
-
-  bool IsDelta() const { return delta_.has_value(); }
-  // The sparse result, or nullptr for a full-engine view.
-  const DeltaResult* Delta() const {
-    return delta_ ? &*delta_ : nullptr;
-  }
-  // Dense state (materializes a delta on first call; see class comment).
-  const PropagationResult& Full() const;
-
-  // --- dispatched queries --------------------------------------------------
-  const std::optional<Route>& BestAt(Asn asn) const {
-    return delta_ ? delta_->BestAt(asn) : full_->BestAt(asn);
-  }
-  int FirstChangeRound(Asn asn) const {
-    return delta_ ? delta_->FirstChangeRound(asn) : full_->FirstChangeRound(asn);
-  }
-  int Rounds() const { return delta_ ? delta_->Rounds() : full_->Rounds(); }
-  const Announcement& GetAnnouncement() const {
-    return delta_ ? delta_->GetAnnouncement() : full_->GetAnnouncement();
-  }
-  const topo::AsGraph& Graph() const {
-    return delta_ ? delta_->Graph() : full_->Graph();
-  }
-  std::vector<Asn> AsesTraversing(Asn x) const {
-    return delta_ ? delta_->AsesTraversing(x) : full_->AsesTraversing(x);
-  }
-  double FractionTraversing(Asn x) const {
-    return delta_ ? delta_->FractionTraversing(x) : full_->FractionTraversing(x);
-  }
-  std::size_t ReachableCount() const {
-    return delta_ ? delta_->ReachableCount() : full_->ReachableCount();
-  }
-
- private:
-  std::optional<PropagationResult> full_;
-  std::optional<DeltaResult> delta_;
-  mutable std::unique_ptr<PropagationResult> materialized_;
 };
 
 }  // namespace asppi::bgp

@@ -51,8 +51,8 @@ struct Announcement {
 // (full state) and DeltaPropagator (sparse overlay, bgp/delta.h) both build
 // their exports and decisions from these, so the two engines agree bit for
 // bit on every wire-visible action by construction — the equivalence the
-// delta engine's correctness proof (DESIGN.md §4h) and the differential
-// fuzzer's delta-vs-full leg rest on.
+// delta engine's correctness proof (DESIGN.md §4h) and its Resume oracle
+// (attack::DiffAgainstResume) rest on.
 namespace engine_detail {
 
 // One candidate export from `u_asn` to the neighbor (v_asn, v_rel):

@@ -66,7 +66,7 @@ std::string RenderRef(const std::optional<ReferenceRoute>& route) {
 }
 
 // Fast engine state vs oracle state, AS by AS. `fast` is a
-// bgp::PropagationResult or a bgp::RoutingView (delta-engine output).
+// bgp::PropagationResult or a bgp::DeltaResult (delta-engine output).
 template <typename FastState>
 void CompareStates(const char* tag, const topo::AsGraph& graph, Asn origin,
                    const FastState& fast,
@@ -104,47 +104,61 @@ bgp::RoutingTree::Via ViaOf(const std::optional<ReferenceRoute>& route) {
   return bgp::RoutingTree::Via::kNone;
 }
 
-// Delta engine vs full engine, bit for bit: the two must agree on the round
-// count and on *all* converged state — best routes, change rounds, every
-// Adj-RIB-In slot, every advertisement flag. Unlike the oracle legs there is
-// no alternative-fixpoint escape hatch: both engines replay the identical
-// synchronous event schedule, so even attacker-induced multi-equilibrium
-// instances must land in the same fixpoint.
-void CompareEngineStates(const topo::AsGraph& graph,
-                         const bgp::PropagationResult& full,
-                         const bgp::PropagationResult& delta,
-                         Violations& out, const char* tag = "engine") {
-  if (full.Rounds() != delta.Rounds()) {
-    out.push_back(Format("diff-%s-rounds: full engine %d, delta %d", tag,
-                         full.Rounds(), delta.Rounds()));
+// Two dense converged states, bit for bit: round count, best routes, change
+// rounds, every Adj-RIB-In slot, every advertisement flag.
+void CompareDenseStates(const topo::AsGraph& graph, const char* tag,
+                        const bgp::PropagationResult& want,
+                        const bgp::PropagationResult& got, Violations& out) {
+  if (want.Rounds() != got.Rounds()) {
+    out.push_back(Format("diff-%s-rounds: %d vs %d", tag, want.Rounds(),
+                         got.Rounds()));
   }
   for (std::size_t i = 0; i < graph.NumAses(); ++i) {
     const Asn asn = graph.AsnAt(i);
-    if (!(full.BestRoutes()[i] == delta.BestRoutes()[i])) {
-      out.push_back(Format("diff-%s-best: AS%u full holds %s, delta %s", tag,
+    if (!(want.BestRoutes()[i] == got.BestRoutes()[i])) {
+      out.push_back(Format("diff-%s-best: AS%u holds %s vs %s", tag,
                            static_cast<unsigned>(asn),
-                           RenderRoute(full.BestRoutes()[i]).c_str(),
-                           RenderRoute(delta.BestRoutes()[i]).c_str()));
+                           RenderRoute(want.BestRoutes()[i]).c_str(),
+                           RenderRoute(got.BestRoutes()[i]).c_str()));
     }
-    if (full.FirstChangeRounds()[i] != delta.FirstChangeRounds()[i]) {
-      out.push_back(Format("diff-%s-round: AS%u changed at %d (full) vs "
-                           "%d (delta)",
-                           tag, static_cast<unsigned>(asn),
-                           full.FirstChangeRounds()[i],
-                           delta.FirstChangeRounds()[i]));
+    if (want.FirstChangeRounds()[i] != got.FirstChangeRounds()[i]) {
+      out.push_back(Format("diff-%s-round: AS%u changed at %d vs %d", tag,
+                           static_cast<unsigned>(asn),
+                           want.FirstChangeRounds()[i],
+                           got.FirstChangeRounds()[i]));
     }
-    if (full.RibIn()[i] != delta.RibIn()[i]) {
+    if (want.RibIn()[i] != got.RibIn()[i]) {
       out.push_back(Format("diff-%s-rib: AS%u Adj-RIB-In differs", tag,
                            static_cast<unsigned>(asn)));
     }
-    if (full.Sent()[i] != delta.Sent()[i]) {
+    if (want.Sent()[i] != got.Sent()[i]) {
       out.push_back(Format("diff-%s-sent: AS%u advertisement flags differ",
                            tag, static_cast<unsigned>(asn)));
     }
   }
 }
 
-// `state` is a bgp::PropagationResult or a bgp::RoutingView.
+// The delta engine's outcome vs the Resume oracle (attack::DiffAgainstResume)
+// — no alternative-fixpoint escape hatch: both replay the identical
+// synchronous event schedule, so even attacker-induced multi-equilibrium
+// instances must land in the same fixpoint.
+void CheckAgainstResume(const char* tag, const attack::AttackOutcome& outcome,
+                        bgp::RouteTransform& transform,
+                        const bgp::ImportFilter* filter, Violations& out) {
+  const std::string diff = attack::DiffAgainstResume(outcome, transform, filter);
+  if (!diff.empty()) out.push_back(Format("diff-%s: %s", tag, diff.c_str()));
+}
+
+attack::AsppInterceptor InterceptorFor(const ScenarioInstance& instance) {
+  attack::AsppInterceptor::Config config;
+  config.attacker = instance.attacker;
+  config.victim = instance.victim;
+  config.violate_valley_free = instance.violate_valley_free;
+  config.export_stripped_to_peers = instance.export_stripped_to_peers;
+  return attack::AsppInterceptor(config);
+}
+
+// `state` is a bgp::PropagationResult or a bgp::DeltaResult.
 template <typename State>
 std::vector<std::pair<Asn, bgp::AsPath>> MonitorPaths(
     const State& state, const std::vector<Asn>& monitors) {
@@ -240,9 +254,8 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     }
   }
 
-  // Leg 3 — the interception attack: AttackSimulator (delta engine, the
-  // default) vs oracle end to end. The cache is shared with leg 3b so both
-  // engines warm-start from the identical converged baseline.
+  // Leg 3 — the interception attack: AttackSimulator (the delta engine) vs
+  // the reference oracle end to end.
   attack::BaselineCache baseline_cache(graph);
   const attack::AttackSimulator attack_sim(graph, &baseline_cache);
   attack::AttackOutcome outcome = attack_sim.RunAsppInterceptionWithPolicy(
@@ -278,7 +291,7 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     ref_attack.violate_valley_free = instance->violate_valley_free;
     ref_attack.export_stripped_to_peers = instance->export_stripped_to_peers;
     const ReferenceEngine::State mirror =
-        MirrorFastState(graph, outcome.after.Full());
+        MirrorFastState(graph, outcome.after.Materialize());
     alternative_fixpoint =
         oracle.Step(announcement, mirror, &ref_attack) == mirror;
     if (alternative_fixpoint) Instr().alt_fixpoints.Add();
@@ -306,31 +319,12 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
   // equilibria differ.
   Invariants::CheckInterception(graph, outcome, out);
 
-  // Leg 3b — delta vs full engine, bit-identical (no escape hatch; see
-  // CompareEngineStates). Also pins the derived accounting: the delta
-  // engine's incremental pollution bookkeeping must reproduce the full
-  // engine's scan-based numbers exactly.
-  const attack::AttackSimulator full_sim(graph, &baseline_cache,
-                                         attack::EngineKind::kFull);
-  const attack::AttackOutcome full_outcome =
-      full_sim.RunAsppInterceptionWithPolicy(
-          announcement, instance->attacker, instance->violate_valley_free,
-          instance->export_stripped_to_peers);
-  CompareEngineStates(graph, full_outcome.after.Full(), outcome.after.Full(),
-                      out);
-  if (outcome.newly_polluted != full_outcome.newly_polluted) {
-    out.push_back(Format(
-        "diff-engine-pollution: delta reports %zu newly polluted ASes, full "
-        "%zu",
-        outcome.newly_polluted.size(), full_outcome.newly_polluted.size()));
-  }
-  if (outcome.fraction_before != full_outcome.fraction_before ||
-      outcome.fraction_after != full_outcome.fraction_after) {
-    out.push_back(Format(
-        "diff-engine-fraction: delta reports %.6f/%.6f, full %.6f/%.6f "
-        "(before/after)",
-        outcome.fraction_before, outcome.fraction_after,
-        full_outcome.fraction_before, full_outcome.fraction_after));
+  // Leg 3b — the same outcome against the Resume oracle, bit for bit: the
+  // whole attacked state plus the delta engine's incremental pollution
+  // accounting.
+  {
+    attack::AsppInterceptor interceptor = InterceptorFor(*instance);
+    CheckAgainstResume("engine", outcome, interceptor, nullptr, out);
   }
 
   // Leg 4 — detection: alarm soundness on the attacked view, no false
@@ -376,42 +370,31 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     // and the detector never raises a false accusation, under any plan.
     const bgp::PropagationResult defended_baseline =
         simulator.Run(announcement, nullptr, &policy);
-    CompareEngineStates(graph, baseline, defended_baseline, out,
-                        "defense-legit");
+    CompareDenseStates(graph, "defense-legit", baseline, defended_baseline,
+                       out);
 
-    // Defended attack: delta vs full stay bit-identical with the filter
-    // active, and the converged state honours every deployed policy.
+    // Defended attack: the delta engine matches the Resume oracle with the
+    // filter active, and the converged state honours every deployed policy.
     const attack::AttackOutcome defended =
         attack_sim.RunAsppInterceptionWithPolicy(
             announcement, instance->attacker, instance->violate_valley_free,
             instance->export_stripped_to_peers, &policy);
-    const attack::AttackOutcome defended_full =
-        full_sim.RunAsppInterceptionWithPolicy(
-            announcement, instance->attacker, instance->violate_valley_free,
-            instance->export_stripped_to_peers, &policy);
-    CompareEngineStates(graph, defended_full.after.Full(),
-                        defended.after.Full(), out, "defense-engine");
-    if (defended.newly_polluted != defended_full.newly_polluted ||
-        defended.fraction_after != defended_full.fraction_after) {
-      out.push_back(Format(
-          "diff-defense-accounting: delta reports %zu polluted / %.6f after, "
-          "full %zu / %.6f",
-          defended.newly_polluted.size(), defended.fraction_after,
-          defended_full.newly_polluted.size(), defended_full.fraction_after));
-    }
+    attack::AsppInterceptor interceptor = InterceptorFor(*instance);
+    CheckAgainstResume("defense-engine", defended, interceptor, &policy, out);
     Invariants::CheckDefendedState(graph, policy, victim, instance->attacker,
                                    announcement.prepends,
-                                   defended.after.Full(), out);
+                                   defended.after.Materialize(), out);
   }
 
   // Leg 6 — strategic attacker programs: a seeded strategy::AttackerProgram
   // draw (per-neighbor announce/withhold, partial strips, poisoning,
-  // collusion) runs through both engines, which must stay bit-identical —
-  // and the converged state must be explainable edge by edge by the program
-  // itself (withheld slots empty, strip bounds honoured, poison delivered,
-  // witness rule confined to the colluding set). The paper-shape invariants
-  // (CheckInterception) deliberately do NOT run here: a strip_to ≥ 2 program
-  // legitimately leaves more than one victim copy behind.
+  // collusion) runs through the delta engine, which must match the Resume
+  // oracle bit for bit — and the converged state must be explainable edge
+  // by edge by the program itself (withheld slots empty, strip bounds
+  // honoured, poison delivered, witness rule confined to the colluding set).
+  // The paper-shape invariants (CheckInterception) deliberately do NOT run
+  // here: a strip_to ≥ 2 program legitimately leaves more than one victim
+  // copy behind.
   {
     util::Rng srng(util::DeriveSeed(scenario.topo_seed, 0x57a7));
     std::vector<Asn> colluders{instance->attacker};
@@ -437,34 +420,16 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     const strategy::AttackerProgram program = strategy::DrawProgram(
         graph, victim, colluders, scenario.lambda, limits, srng);
 
-    strategy::ProgramTransform delta_transform(program);
-    const attack::AttackOutcome strat_delta = attack_sim.RunTransform(
-        announcement, program.Colluders(), delta_transform);
-    strategy::ProgramTransform full_transform(program);
-    const attack::AttackOutcome strat_full = full_sim.RunTransform(
-        announcement, program.Colluders(), full_transform);
-    CompareEngineStates(graph, strat_full.after.Full(),
-                        strat_delta.after.Full(), out, "strategy-engine");
-    if (strat_delta.newly_polluted != strat_full.newly_polluted ||
-        strat_delta.fraction_before != strat_full.fraction_before ||
-        strat_delta.fraction_after != strat_full.fraction_after) {
-      out.push_back(Format(
-          "diff-strategy-accounting: delta reports %zu polluted / %.6f "
-          "after, full %zu / %.6f",
-          strat_delta.newly_polluted.size(), strat_delta.fraction_after,
-          strat_full.newly_polluted.size(), strat_full.fraction_after));
-    }
-    if (strat_delta.converged != strat_full.converged) {
-      out.push_back(Format(
-          "diff-strategy-convergence: delta %s, full %s",
-          strat_delta.converged ? "converged" : "hit the round cap",
-          strat_full.converged ? "converged" : "hit the round cap"));
-    }
+    strategy::ProgramTransform transform(program);
+    const attack::AttackOutcome strat = attack_sim.RunTransform(
+        announcement, program.Colluders(), transform);
+    strategy::ProgramTransform oracle_transform(program);
+    CheckAgainstResume("strategy-engine", strat, oracle_transform, nullptr,
+                       out);
     Invariants::CheckStrategicAttack(
-        graph, program, strat_full.after.Full(),
-        MonitorPaths(*strat_full.before, instance->monitors),
-        MonitorPaths(strat_full.after, instance->monitors),
-        strat_full.converged, out);
+        graph, program, strat.after.Materialize(),
+        MonitorPaths(*strat.before, instance->monitors),
+        MonitorPaths(strat.after, instance->monitors), strat.converged, out);
   }
 
   Truncate(out);

@@ -22,22 +22,6 @@ SweepMetrics& Instr() {
   return *m;
 }
 
-// Bit-exact attacked-state equality across engines: derived accounting AND
-// the full converged state (the delta outcome materializes its overlay).
-bool SameOutcome(const attack::AttackOutcome& a,
-                 const attack::AttackOutcome& b) {
-  if (a.fraction_before != b.fraction_before ||
-      a.fraction_after != b.fraction_after ||
-      a.newly_polluted != b.newly_polluted) {
-    return false;
-  }
-  const bgp::PropagationResult& fa = a.after.Full();
-  const bgp::PropagationResult& fb = b.after.Full();
-  return fa.Rounds() == fb.Rounds() && fa.BestRoutes() == fb.BestRoutes() &&
-         fa.FirstChangeRounds() == fb.FirstChangeRounds() &&
-         fa.RibIn() == fb.RibIn() && fa.Sent() == fb.Sent();
-}
-
 }  // namespace
 
 std::vector<std::pair<Asn, Asn>> PickSweepPairs(const topo::AsGraph& graph,
@@ -90,12 +74,7 @@ std::vector<DefenseSweepPoint> RunDefenseSweep(
   attack::BaselineCache* cache = options.baseline_cache != nullptr
                                      ? options.baseline_cache
                                      : &local_cache;
-  const attack::AttackSimulator simulator(graph, cache, options.engine);
-  // For the equivalence gate: the other engine, sharing the same baselines.
-  const attack::AttackSimulator full_sim(graph, cache,
-                                         attack::EngineKind::kFull);
-  const attack::AttackSimulator delta_sim(graph, cache,
-                                          attack::EngineKind::kDelta);
+  const attack::AttackSimulator simulator(graph, cache);
 
   const std::size_t num_strategies = options.strategies.size();
   const std::size_t num_fractions = options.fractions.size();
@@ -134,17 +113,17 @@ std::vector<DefenseSweepPoint> RunDefenseSweep(
     Instr().attacks.Add();
     TaskResult& out = results[t];
     out.deployed = set.DeployedCount();
-    attack::AttackOutcome outcome = simulator.RunAsppInterception(
+    const attack::AttackOutcome outcome = simulator.RunAsppInterception(
         victim, attacker, options.lambda, options.violate_valley_free,
         options.export_stripped_to_peers, &set);
     if (options.verify_engines) {
-      attack::AttackOutcome full = full_sim.RunAsppInterception(
-          victim, attacker, options.lambda, options.violate_valley_free,
-          options.export_stripped_to_peers, &set);
-      attack::AttackOutcome delta = delta_sim.RunAsppInterception(
-          victim, attacker, options.lambda, options.violate_valley_free,
-          options.export_stripped_to_peers, &set);
-      out.agree = SameOutcome(full, delta);
+      attack::AsppInterceptor::Config config;
+      config.attacker = attacker;
+      config.victim = victim;
+      config.violate_valley_free = options.violate_valley_free;
+      config.export_stripped_to_peers = options.export_stripped_to_peers;
+      attack::AsppInterceptor interceptor(config);
+      out.agree = attack::DiffAgainstResume(outcome, interceptor, &set).empty();
     }
     out.before = outcome.fraction_before;
     out.after = outcome.fraction_after;

@@ -3,7 +3,7 @@
 //
 // For every (strategy, fraction, pair) point the sweep builds the nested
 // deployment (DeploymentPlan::AtFraction), runs the ASPP interception with
-// the PolicySet active as the engines' import filter, and averages the
+// the PolicySet active as the engine's import filter, and averages the
 // post-attack pollution over the pairs. Results are bit-identical for any
 // --threads: tasks compute into index-addressed slots and are reduced in a
 // fixed order.
@@ -45,10 +45,12 @@ struct DefenseSweepOptions {
   // every deployment point.
   util::ThreadPool* pool = nullptr;
   attack::BaselineCache* baseline_cache = nullptr;
-  attack::EngineKind engine = attack::EngineKind::kDelta;
-  // Run every point on BOTH engines and require bit-identical attacked
-  // states (fractions, pollution sets, best routes, Adj-RIB-In, sent flags,
-  // round counts). The in-bench equivalence gate of fig_defense_sweep.
+  // Check every reported outcome against the Resume oracle
+  // (attack::DiffAgainstResume): the attacked state must match the full
+  // engine bit for bit (round count, best routes, change rounds, Adj-RIB-In,
+  // sent flags) and so must the fractions and pollution set. Costs one extra
+  // full-engine resume per task. The in-bench equivalence gate of
+  // fig_defense_sweep.
   bool verify_engines = false;
 };
 
@@ -62,7 +64,8 @@ struct DefenseSweepPoint {
   double mean_fraction_before = 0.0;
   // Mean post-attack pollution — the interception-success metric.
   double mean_fraction_after = 0.0;
-  // False iff verify_engines found any full-vs-delta divergence here.
+  // False iff verify_engines found an outcome here that differs from the
+  // Resume oracle.
   bool engines_agree = true;
 };
 

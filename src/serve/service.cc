@@ -38,7 +38,7 @@ ServiceMetrics& Instr() {
 // would not feed honest data to a collector). Mirrors the extraction the
 // detection-evaluation harness uses, so serve "detect" answers match the
 // batch pipeline's.
-template <typename State>  // PropagationResult or RoutingView
+template <typename State>  // PropagationResult or DeltaResult
 std::vector<std::pair<Asn, bgp::AsPath>> PathsAt(
     const State& state, const std::vector<Asn>& monitors, Asn attacker) {
   std::vector<std::pair<Asn, bgp::AsPath>> out;
@@ -64,7 +64,7 @@ QueryService::QueryService(const topo::AsGraph& graph,
       policy_(std::move(policy)),
       options_(options),
       baseline_cache_(graph),
-      simulator_(graph, &baseline_cache_, options.engine),
+      simulator_(graph, &baseline_cache_),
       detector_(&graph),
       cache_(options.cache_capacity, options.cache_shards),
       start_(std::chrono::steady_clock::now()) {}
@@ -384,7 +384,6 @@ std::string QueryService::RunStrategy(const Request& request) {
   // fanned out per connection); the shared baseline cache means repeated
   // strategy queries against a warm victim skip the baseline re-convergence.
   options.baseline_cache = &baseline_cache_;
-  options.engine = options_.engine;
   options.filter = ActiveDefense();
   const strategy::Search search(graph_, options);
   const strategy::SearchResult result =

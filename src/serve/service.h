@@ -50,9 +50,6 @@ struct ServiceOptions {
   // mode perf_serve measures).
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
-  // Convergence engine for impact/detect what-if queries (delta warm-starts
-  // from the cached baseline and propagates only the attack wavefront).
-  attack::EngineKind engine = attack::EngineKind::kDelta;
   // Corpus-wide defense deployment (usually a snapshot's kDefense section).
   // When set and non-empty it is the import filter for every impact/detect
   // what-if, and its digest is folded into every result-cache key so defended

@@ -55,7 +55,7 @@ std::vector<attack::PairImpact> RunModelPairSweep(
   std::vector<attack::PairImpact> rows(attacker_victim_pairs.size());
 
   if (model == AttackerModel::kStealth) {
-    const attack::AttackSimulator simulator(graph, cache, options.engine);
+    const attack::AttackSimulator simulator(graph, cache);
     util::ParallelFor(
         options.pool, attacker_victim_pairs.size(), [&](std::size_t i) {
           const auto& [attacker, victim] = attacker_victim_pairs[i];
@@ -88,7 +88,6 @@ std::vector<attack::PairImpact> RunModelPairSweep(
   search_options.lambda = options.lambda;
   search_options.pool = nullptr;
   search_options.baseline_cache = cache;
-  search_options.engine = options.engine;
   search_options.filter = options.filter;
   const Search searcher(graph, search_options);
   util::ParallelFor(

@@ -24,8 +24,8 @@ const char* AttackerModelName(AttackerModel model);
 
 // RunPairSweep under the chosen model. kPaper is exactly
 // attack::RunPairSweep(graph, pairs, options); the other models score each
-// pair through strategy machinery with the same cache/pool/engine/filter
-// options and the same total-order row ranking. `search` tunes the kSearch
+// pair through strategy machinery with the same cache/pool/filter options
+// and the same total-order row ranking. `search` tunes the kSearch
 // model (ignored otherwise; null = SearchOptions defaults).
 std::vector<attack::PairImpact> RunModelPairSweep(
     const topo::AsGraph& graph,

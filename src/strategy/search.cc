@@ -36,23 +36,6 @@ AttackerProgram Apply(const AttackerProgram& base, const Move& move) {
   return next;
 }
 
-// States bit-identical? Fractions, pollution set, and every per-AS best
-// route must agree between the two engines.
-bool SameOutcome(const topo::AsGraph& graph,
-                 const attack::AttackOutcome& lhs,
-                 const attack::AttackOutcome& rhs) {
-  if (lhs.fraction_before != rhs.fraction_before ||
-      lhs.fraction_after != rhs.fraction_after ||
-      lhs.converged != rhs.converged ||
-      lhs.newly_polluted != rhs.newly_polluted) {
-    return false;
-  }
-  for (Asn asn : graph.Ases()) {
-    if (lhs.after.BestAt(asn) != rhs.after.BestAt(asn)) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 Search::Search(const topo::AsGraph& graph, const SearchOptions& options)
@@ -75,12 +58,7 @@ SearchResult Search::Run(Asn victim, std::span<const Asn> colluders) const {
   attack::BaselineCache* cache = options_.baseline_cache != nullptr
                                      ? options_.baseline_cache
                                      : &local_cache;
-  const attack::AttackSimulator scorer(graph_, cache, options_.engine);
-  const attack::AttackSimulator mirror(
-      graph_, cache,
-      options_.engine == attack::EngineKind::kDelta
-          ? attack::EngineKind::kFull
-          : attack::EngineKind::kDelta);
+  const attack::AttackSimulator scorer(graph_, cache);
 
   SearchResult result;
   std::size_t mismatches = 0;
@@ -90,9 +68,8 @@ SearchResult Search::Run(Asn victim, std::span<const Asn> colluders) const {
         announcement, program.Colluders(), transform, options_.filter);
     if (options_.verify_engines) {
       ProgramTransform retransform(program);
-      const attack::AttackOutcome check = mirror.RunTransform(
-          announcement, program.Colluders(), retransform, options_.filter);
-      if (!SameOutcome(graph_, outcome, check)) {
+      if (!attack::DiffAgainstResume(outcome, retransform, options_.filter)
+               .empty()) {
         // Caller-side accumulation: scoring runs under ParallelFor, so the
         // mismatch count is summed from per-slot flags, not incremented here.
         return ScoredProgram{program, outcome.fraction_before, -1.0};

@@ -48,12 +48,12 @@ struct SearchOptions {
   util::ThreadPool* pool = nullptr;
   // Shared baseline memoization (null = one cache private to each Run).
   attack::BaselineCache* baseline_cache = nullptr;
-  // Engine scoring the candidates.
-  attack::EngineKind engine = attack::EngineKind::kDelta;
   // Import filter (defense) active during every attacked re-convergence.
   const bgp::ImportFilter* filter = nullptr;
-  // Score every candidate on BOTH engines and count any state divergence in
-  // SearchResult.engine_mismatches — the bench gate's full-vs-delta check.
+  // Check every scored outcome against the Resume oracle
+  // (attack::DiffAgainstResume: full attacked state, fractions, pollution
+  // set) and count differences in SearchResult.engine_mismatches — the bench
+  // gate's equivalence check.
   bool verify_engines = false;
 };
 
@@ -70,7 +70,7 @@ struct SearchResult {
   // best.fraction_after − paper_after; ≥ 0 by construction.
   double gap = 0.0;
   std::size_t programs_scored = 0;
-  // Candidates whose full- and delta-engine runs disagreed (verify_engines
+  // Candidates whose outcome differed from the Resume oracle (verify_engines
   // only; anything but 0 is an engine bug).
   std::size_t engine_mismatches = 0;
 };

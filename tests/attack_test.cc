@@ -282,7 +282,9 @@ TEST(Scenarios, EngineeredFig11AttackSpreadsValleyFree) {
 TEST(PairSweep, SortedByImpact) {
   auto gen = SmallTopo(6);
   auto pairs = SampleTier1Pairs(gen, 10, 3);
-  auto results = RunPairSweep(gen.graph, pairs, 3);
+  PairSweepOptions options;
+  options.lambda = 3;
+  auto results = RunPairSweep(gen.graph, pairs, options);
   ASSERT_EQ(results.size(), 10u);
   for (std::size_t i = 1; i < results.size(); ++i) {
     EXPECT_GE(results[i - 1].after + 1e-12, results[i].after);

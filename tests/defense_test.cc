@@ -1,7 +1,7 @@
 // Tests for the defense subsystem (src/defense/): policy parsing and Accept
 // semantics, deployment-plan determinism and prefix nesting, the
-// no-legitimate-filtering guarantee, defended full-vs-delta engine
-// equivalence, and the sweep driver's monotone curves.
+// no-legitimate-filtering guarantee, defended attacks against the Resume
+// oracle, and RunDefenseSweep's monotone curves and verify-mode cost.
 #include "defense/policy.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "attack/impact.h"
@@ -16,6 +17,7 @@
 #include "defense/sweep.h"
 #include "topology/builders.h"
 #include "topology/generator.h"
+#include "util/metrics.h"
 
 namespace asppi::defense {
 namespace {
@@ -293,26 +295,20 @@ TEST(DefendedEngines, FullAndDeltaAgreeUnderDeployment) {
   const PolicySet policy = plan.AtFraction(0.4, kAllPolicies);
 
   attack::BaselineCache cache(gen.graph);
-  const attack::AttackSimulator delta_sim(gen.graph, &cache,
-                                          attack::EngineKind::kDelta);
-  const attack::AttackSimulator full_sim(gen.graph, &cache,
-                                         attack::EngineKind::kFull);
-  const attack::AttackOutcome delta = delta_sim.RunAsppInterception(
-      victim, attacker, /*lambda=*/4, /*violate_valley_free=*/false,
-      /*export_stripped_to_peers=*/true, &policy);
-  const attack::AttackOutcome full = full_sim.RunAsppInterception(
+  const attack::AttackSimulator sim(gen.graph, &cache);
+  const attack::AttackOutcome defended = sim.RunAsppInterception(
       victim, attacker, /*lambda=*/4, /*violate_valley_free=*/false,
       /*export_stripped_to_peers=*/true, &policy);
 
-  EXPECT_EQ(delta.fraction_before, full.fraction_before);
-  EXPECT_EQ(delta.fraction_after, full.fraction_after);
-  EXPECT_EQ(delta.newly_polluted, full.newly_polluted);
-  const bgp::PropagationResult& df = delta.after.Full();
-  const bgp::PropagationResult& ff = full.after.Full();
-  EXPECT_EQ(df.Rounds(), ff.Rounds());
-  EXPECT_EQ(df.BestRoutes(), ff.BestRoutes());
-  EXPECT_EQ(df.RibIn(), ff.RibIn());
-  EXPECT_EQ(df.Sent(), ff.Sent());
+  attack::AsppInterceptor::Config config;
+  config.attacker = attacker;
+  config.victim = victim;
+  attack::AsppInterceptor oracle_attack(config);
+  EXPECT_EQ(attack::DiffAgainstResume(defended, oracle_attack, &policy), "");
+  // The deployment changes the attacked state, so an oracle run without the
+  // filter must notice: the check above really exercised the filter.
+  attack::AsppInterceptor unfiltered_attack(config);
+  EXPECT_NE(attack::DiffAgainstResume(defended, unfiltered_attack), "");
 }
 
 // --- sweep driver -----------------------------------------------------------
@@ -356,6 +352,44 @@ TEST(DefenseSweep, CurvesAreMonotoneAndEnginesAgree) {
           << StrategyName(point.strategy);
     }
   }
+}
+
+TEST(DefenseSweep, VerifyModeRunsOneDeltaPropagationPerTask) {
+  topo::GeneratorParams params;
+  params.seed = 78;
+  params.num_tier1 = 3;
+  params.num_tier2 = 8;
+  params.num_tier3 = 20;
+  params.num_stubs = 60;
+  auto gen = topo::GenerateInternetTopology(params);
+
+  DefenseSweepOptions options;
+  options.fractions = {0.0, 0.5, 1.0};
+  options.num_pairs = 2;
+  options.seed = 3;
+  options.verify_engines = true;
+  const std::uint64_t tasks = options.strategies.size() *
+                              options.fractions.size() * options.num_pairs;
+
+  util::Metrics& metrics = util::Metrics::Global();
+  const util::Metrics::Snapshot before = metrics.TakeSnapshot();
+  const std::vector<DefenseSweepPoint> points =
+      RunDefenseSweep(gen.graph, options);
+  const util::Metrics::Snapshot after = metrics.TakeSnapshot();
+  const auto counted = [&](const std::string& name) -> std::uint64_t {
+    const auto now = after.counters.find(name);
+    const auto was = before.counters.find(name);
+    return (now == after.counters.end() ? 0 : now->second) -
+           (was == before.counters.end() ? 0 : was->second);
+  };
+  for (const DefenseSweepPoint& point : points) {
+    EXPECT_TRUE(point.engines_agree) << StrategyName(point.strategy);
+  }
+  // Each task runs its attack once on the delta engine and checks that very
+  // outcome with one Resume — no second attack to compare against.
+  EXPECT_EQ(counted("defense.sweep.attacks"), tasks);
+  EXPECT_EQ(counted("engine.delta.propagations"), tasks);
+  EXPECT_EQ(counted("bgp.propagation.resumes"), tasks);
 }
 
 TEST(DefenseSweep, PairPickingIsDeterministic) {

@@ -6,11 +6,11 @@
 // with the same inputs — best routes, first-change rounds, every Adj-RIB-In
 // slot, every sent flag, and the round count. The fixtures here cover the
 // canonical topology shapes, generated Internet-like graphs, every attacker
-// mode (valley-free-following and -violating, peer-export on and off), and —
-// per the ISSUE acceptance — a full pair sweep pinned at every λ. The
-// fuzzer's delta-vs-full leg (src/check/fuzzer.cc) extends the same check to
-// randomized scenarios; tests/fuzz_corpus_test.cc replays any regressions it
-// finds.
+// mode (valley-free-following and -violating, peer-export on and off), and
+// a full pair sweep pinned at every λ against the Resume oracle
+// (attack::DiffAgainstResume). The fuzzer's oracle legs (src/check/fuzzer.cc)
+// extend the same check to randomized scenarios; tests/fuzz_corpus_test.cc
+// replays any regressions they find.
 #include "bgp/delta.h"
 
 #include <gtest/gtest.h>
@@ -199,23 +199,24 @@ TEST(DeltaEquivalence, PairSweepIdenticalAtEveryLambda) {
   const topo::GeneratedTopology gen = SmallInternet();
   const auto pairs = attack::SampleRandomPairs(gen, 12, /*seed=*/23);
   attack::BaselineCache cache(gen.graph);
+  const attack::AttackSimulator sim(gen.graph, &cache);
   for (int lambda = 1; lambda <= 5; ++lambda) {
     attack::PairSweepOptions options;
     options.lambda = lambda;
     options.baseline_cache = &cache;
-    options.engine = attack::EngineKind::kFull;
-    const auto full_rows = attack::RunPairSweep(gen.graph, pairs, options);
-    options.engine = attack::EngineKind::kDelta;
-    const auto delta_rows = attack::RunPairSweep(gen.graph, pairs, options);
-    ASSERT_EQ(full_rows.size(), delta_rows.size());
-    for (std::size_t i = 0; i < full_rows.size(); ++i) {
+    const auto rows = attack::RunPairSweep(gen.graph, pairs, options);
+    ASSERT_EQ(rows.size(), pairs.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       SCOPED_TRACE("lambda=" + std::to_string(lambda) +
                    " row=" + std::to_string(i));
-      EXPECT_EQ(full_rows[i].attacker, delta_rows[i].attacker);
-      EXPECT_EQ(full_rows[i].victim, delta_rows[i].victim);
-      // Exact ==, not near: both engines must derive the same fractions.
-      EXPECT_EQ(full_rows[i].before, delta_rows[i].before);
-      EXPECT_EQ(full_rows[i].after, delta_rows[i].after);
+      const attack::AttackOutcome outcome =
+          sim.RunAsppInterception(rows[i].victim, rows[i].attacker, lambda);
+      attack::AsppInterceptor oracle_attack =
+          MakeInterceptor(rows[i].attacker, rows[i].victim);
+      EXPECT_EQ(attack::DiffAgainstResume(outcome, oracle_attack), "");
+      // Exact ==, not near: every row carries the oracle-checked fractions.
+      EXPECT_EQ(rows[i].before, outcome.fraction_before);
+      EXPECT_EQ(rows[i].after, outcome.fraction_after);
     }
   }
 }
@@ -223,25 +224,17 @@ TEST(DeltaEquivalence, PairSweepIdenticalAtEveryLambda) {
 TEST(DeltaEquivalence, AttackSimulatorOutcomesMatch) {
   const topo::GeneratedTopology gen = SmallInternet();
   attack::BaselineCache cache(gen.graph);
-  const attack::AttackSimulator full_sim(gen.graph, &cache,
-                                         attack::EngineKind::kFull);
-  const attack::AttackSimulator delta_sim(gen.graph, &cache,
-                                          attack::EngineKind::kDelta);
+  const attack::AttackSimulator sim(gen.graph, &cache);
   const auto pairs = attack::SampleRandomPairs(gen, 4, /*seed=*/31);
   for (const auto& [attacker, victim] : pairs) {
-    const auto full = full_sim.RunAsppInterception(victim, attacker, 3);
-    const auto delta = delta_sim.RunAsppInterception(victim, attacker, 3);
     SCOPED_TRACE("attacker=" + std::to_string(attacker) +
                  " victim=" + std::to_string(victim));
-    EXPECT_FALSE(full.after.IsDelta());
-    EXPECT_TRUE(delta.after.IsDelta());
-    EXPECT_EQ(full.fraction_before, delta.fraction_before);
-    EXPECT_EQ(full.fraction_after, delta.fraction_after);
-    EXPECT_EQ(full.newly_polluted, delta.newly_polluted);
-    // Shared cache ⇒ both outcomes reference the same memoized baseline.
-    EXPECT_EQ(full.before.get(), delta.before.get());
-    ExpectStatesIdentical(full.after.Full(), delta.after.Full(),
-                          "outcome states");
+    const auto outcome = sim.RunAsppInterception(victim, attacker, 3);
+    attack::AsppInterceptor oracle_attack = MakeInterceptor(attacker, victim);
+    EXPECT_EQ(attack::DiffAgainstResume(outcome, oracle_attack), "");
+    // The attacked state overlays the memoized baseline the outcome reports.
+    EXPECT_EQ(outcome.after.BasePtr(), outcome.before);
+    EXPECT_EQ(outcome.before.get(), &cache.GetRef(Announce(victim, 3)));
   }
 }
 
@@ -303,21 +296,6 @@ TEST(DeltaResult, TouchedIndicesAscendingAndExhaustive) {
   }
 }
 
-TEST(DeltaResult, RoutingViewMaterializesLazily) {
-  AsGraph g = topo::ProviderChain(5);
-  const PropagationSimulator full_engine(g);
-  const DeltaPropagator delta_engine(g);
-  auto baseline =
-      std::make_shared<const PropagationResult>(full_engine.Run(Announce(1, 2)));
-  attack::AsppInterceptor attack = MakeInterceptor(/*attacker=*/4, /*victim=*/1);
-  RoutingView view(delta_engine.Propagate(baseline, &attack, {4u}));
-  ASSERT_TRUE(view.IsDelta());
-  const PropagationResult& dense = view.Full();
-  ExpectStatesIdentical(dense, view.Delta()->Materialize(), "lazy Full()");
-  // Second call returns the same cached object.
-  EXPECT_EQ(&view.Full(), &dense);
-}
-
 // --- TraversalIndex --------------------------------------------------------
 
 TEST(TraversalIndex, MatchesLinearScanEverywhere) {
@@ -338,8 +316,7 @@ TEST(TraversalIndex, MatchesLinearScanEverywhere) {
 TEST(DeltaMetrics, WavefrontCountersRecorded) {
   const topo::GeneratedTopology gen = SmallInternet();
   attack::BaselineCache cache(gen.graph);
-  const attack::AttackSimulator sim(gen.graph, &cache,
-                                    attack::EngineKind::kDelta);
+  const attack::AttackSimulator sim(gen.graph, &cache);
   const auto scenario = attack::Tier1VsTier1(gen);
 
   util::Metrics& metrics = util::Metrics::Global();
@@ -358,8 +335,7 @@ TEST(DeltaMetrics, WavefrontCountersRecorded) {
   };
   EXPECT_EQ(counter_delta("engine.delta.propagations"), 1u);
   const std::uint64_t wavefront = counter_delta("engine.delta.wavefront_total");
-  ASSERT_TRUE(outcome.after.IsDelta());
-  EXPECT_EQ(wavefront, outcome.after.Delta()->TouchedIndices().size());
+  EXPECT_EQ(wavefront, outcome.after.TouchedIndices().size());
   EXPECT_GT(counter_delta("engine.delta.rounds"), 0u);
   EXPECT_GT(counter_delta("engine.delta.decisions"), 0u);
 }

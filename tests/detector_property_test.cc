@@ -211,8 +211,8 @@ TEST_P(DetectorProperties, WithholdingAttackerNeverFramesInnocents) {
       }
       check::Violations violations;
       check::Invariants::CheckStrategicAttack(
-          gen.graph, program, outcome.after.Full(), prev_paths, cur_paths,
-          outcome.converged, violations);
+          gen.graph, program, outcome.after.Materialize(), prev_paths,
+          cur_paths, outcome.converged, violations);
       EXPECT_TRUE(violations.empty())
           << "victim AS" << victim << " attacker AS" << attacker
           << (filter ? " (defended)" : " (undefended)");

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
     options.lambda = lambda;
     options.violate_valley_free = e.Flags().GetBool("violate");
     options.pool = e.Pool();
-    options.engine = e.Engine();
     auto results = attack::RunPairSweep(graph, pairs, options);
     e.Note("sweep: %zu candidate attackers against AS%u (lambda=%d), "
            "top %d by pollution:",
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  attack::AttackSimulator simulator(graph, nullptr, e.Engine());
+  attack::AttackSimulator simulator(graph);
   attack::AttackOutcome outcome = simulator.RunAsppInterception(
       victim, attacker, lambda, e.Flags().GetBool("violate"));
 

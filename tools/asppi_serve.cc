@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   }
 
   serve::ServiceOptions service_options;
-  service_options.engine = e.Engine();
   service_options.default_lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   service_options.default_monitors =
       static_cast<std::size_t>(e.Flags().GetUint("monitors"));

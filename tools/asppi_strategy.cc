@@ -7,8 +7,8 @@
 // --colluders adds accomplices (comma-separated ASNs) so the search runs
 // over a colluding set; the attacker is always part of it. The dominance
 // guarantee prints as paper-vs-best: best is never below paper, because the
-// paper model seeds the beam. --verify-engines rescrores every candidate on
-// the other convergence engine and fails (exit 1) on any state mismatch.
+// paper model seeds the beam. --verify-engines checks every scored candidate
+// against the Resume oracle and fails (exit 1) on any state mismatch.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineUint("poison-candidates", 2,
                        "top-degree ASes considered as poison targets");
   e.Flags().DefineBool("verify-engines", false,
-                       "rescore every program on the other convergence "
-                       "engine; any state mismatch fails the run");
+                       "check every scored program against the Resume "
+                       "oracle; any state mismatch fails the run");
   if (!e.ParseFlags(argc, argv)) return 1;
 
   topo::AsGraph loaded_graph;
@@ -111,7 +111,6 @@ int main(int argc, char** argv) {
   options.poison_candidates = e.Flags().GetUint("poison-candidates");
   options.verify_engines = e.Flags().GetBool("verify-engines");
   options.pool = e.Pool();
-  options.engine = e.Engine();
 
   e.Note("topology: %zu ASes, %zu links", graph.NumAses(), graph.NumLinks());
   e.Note("search: AS%u (+%zu accomplices) vs AS%u, lambda=%d, beam=%zu x "
@@ -132,8 +131,8 @@ int main(int argc, char** argv) {
   std::printf("key: %s\n", result.best.program.KeyString().c_str());
 
   if (options.verify_engines && result.engine_mismatches != 0) {
-    e.Note("FAIL: %zu scored program(s) diverged between the convergence "
-           "engines", result.engine_mismatches);
+    e.Note("FAIL: %zu scored program(s) differ from the Resume oracle",
+           result.engine_mismatches);
     return e.Finish(1);
   }
   if (result.gap < 0.0) {
