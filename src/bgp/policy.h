@@ -32,6 +32,11 @@ inline constexpr int kSelfLocalPref = 1000;
 bool MayExport(Relation learned_from, Relation to);
 bool MayExportOwn(Relation to);
 
+// Largest pad count the serving path accepts from outside the process: the
+// wire protocol's "lambda", asppi_snapshot's --policy/--lambda,
+// asppi_serve's --lambda and snapshot files all bound pads to 1..kMaxPads.
+inline constexpr int kMaxPads = 64;
+
 // Per-exporter, per-neighbor AS-path prepending configuration.
 //
 // PadsFor(exporter, neighbor) is the number of copies of `exporter`'s ASN

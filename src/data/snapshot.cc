@@ -10,6 +10,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "util/crc32.h"
@@ -34,7 +35,7 @@ SnapshotMetrics& Instr() {
 
 enum SectionType : std::uint32_t {
   kInfo = 1,
-  kTopology = 2,  // v1 only; loads through the GraphBuilder rebuild path
+  // 2 was v1's link-list section; version-1 files are rejected as skew.
   kPolicy = 3,
   kBaselines = 4,
   kCsrGraph = 5,  // v2: frozen CSR arrays, mapped zero-copy
@@ -126,6 +127,7 @@ class ByteReader {
   }
 
   bool AtEnd() const { return pos_ == size_; }
+  std::size_t Remaining() const { return size_ - pos_; }
 
  private:
   const unsigned char* data_;
@@ -143,22 +145,48 @@ void WriteRoute(ByteWriter& w, const bgp::Route& route) {
   w.U8(static_cast<std::uint8_t>(route.effective));
 }
 
-bool ReadRoute(ByteReader& r, bgp::Route* route) {
+std::string ReadRoute(ByteReader& r, bgp::Route* route) {
   std::uint32_t len;
-  if (!r.U32(&len)) return false;
-  std::vector<topo::Asn> hops(len);
-  for (std::uint32_t i = 0; i < len; ++i) {
-    if (!r.U32(&hops[i])) return false;
+  if (!r.U32(&len)) return "truncated hop count";
+  // Checked before sizing the path, so a corrupt count can never allocate
+  // more than the section holds.
+  if (len > r.Remaining() / 4) {
+    return "hop count " + std::to_string(len) + " overruns the section (" +
+           std::to_string(r.Remaining()) + " bytes left)";
   }
+  std::vector<topo::Asn> hops(len);
+  for (std::uint32_t i = 0; i < len; ++i) r.U32(&hops[i]);
   route->path = bgp::AsPath(std::move(hops));
   std::uint8_t rel, effective;
   if (!r.U32(&route->learned_from) || !r.U8(&rel) || !r.U8(&effective)) {
-    return false;
+    return "truncated route";
   }
-  if (rel > kMaxRelationByte || effective > kMaxRelationByte) return false;
+  if (rel > kMaxRelationByte || effective > kMaxRelationByte) {
+    return "invalid relation code";
+  }
   route->rel = static_cast<topo::Relation>(rel);
   route->effective = static_cast<topo::Relation>(effective);
-  return true;
+  return "";
+}
+
+// Pads outside 1..kMaxPads are neither written nor read: PrependPolicy's
+// setters abort on pads < 1, and the protocol and the flags that feed a
+// snapshot cap pads at kMaxPads, so a file is held to the same bound.
+bool ValidPads(std::int64_t pads) { return pads >= 1 && pads <= bgp::kMaxPads; }
+
+std::string PadsError(std::int64_t pads) {
+  return "pad count " + std::to_string(pads) + " outside 1.." +
+         std::to_string(bgp::kMaxPads);
+}
+
+std::string CheckPolicy(const bgp::PrependPolicy& policy) {
+  for (const auto& [asn, pads] : policy.Defaults()) {
+    if (!ValidPads(pads)) return PadsError(pads);
+  }
+  for (const auto& [key, pads] : policy.Overrides()) {
+    if (!ValidPads(pads)) return PadsError(pads);
+  }
+  return "";
 }
 
 void WritePolicy(ByteWriter& w, const bgp::PrependPolicy& policy) {
@@ -175,54 +203,27 @@ void WritePolicy(ByteWriter& w, const bgp::PrependPolicy& policy) {
   }
 }
 
-bool ReadPolicy(ByteReader& r, bgp::PrependPolicy* policy) {
+std::string ReadPolicy(ByteReader& r, bgp::PrependPolicy* policy) {
   std::uint64_t num_defaults;
-  if (!r.U64(&num_defaults)) return false;
+  if (!r.U64(&num_defaults)) return "truncated";
   for (std::uint64_t i = 0; i < num_defaults; ++i) {
     std::uint32_t asn;
     std::int32_t pads;
-    if (!r.U32(&asn) || !r.I32(&pads)) return false;
+    if (!r.U32(&asn) || !r.I32(&pads)) return "truncated";
+    if (!ValidPads(pads)) return PadsError(pads);
     policy->SetDefault(asn, pads);
   }
   std::uint64_t num_overrides;
-  if (!r.U64(&num_overrides)) return false;
+  if (!r.U64(&num_overrides)) return "truncated";
   for (std::uint64_t i = 0; i < num_overrides; ++i) {
     std::uint32_t exporter, neighbor;
     std::int32_t pads;
-    if (!r.U32(&exporter) || !r.U32(&neighbor) || !r.I32(&pads)) return false;
+    if (!r.U32(&exporter) || !r.U32(&neighbor) || !r.I32(&pads)) {
+      return "truncated";
+    }
+    if (!ValidPads(pads)) return PadsError(pads);
     policy->SetForNeighbor(exporter, neighbor, pads);
   }
-  return true;
-}
-
-// v1 rebuild path: links re-enter a GraphBuilder and the graph is re-frozen
-// on every load (re-interning, re-ranking — work the kCsrGraph section makes
-// unnecessary). Kept only so pre-v2 snapshot files stay loadable.
-std::string ParseTopologySection(ByteReader r, topo::GraphBuilder* builder) {
-  std::uint64_t num_ases;
-  if (!r.U64(&num_ases)) return "truncated AS count";
-  for (std::uint64_t i = 0; i < num_ases; ++i) {
-    std::uint32_t asn;
-    if (!r.U32(&asn)) return "truncated AS list";
-    builder->AddAs(asn);
-  }
-  if (builder->NumAses() != num_ases) return "duplicate ASN in AS list";
-  std::uint64_t num_links;
-  if (!r.U64(&num_links)) return "truncated link count";
-  for (std::uint64_t i = 0; i < num_links; ++i) {
-    std::uint32_t a, b;
-    std::uint8_t rel;
-    if (!r.U32(&a) || !r.U32(&b) || !r.U8(&rel)) return "truncated link list";
-    if (rel > kMaxRelationByte) return "invalid relation code";
-    if (rel == static_cast<std::uint8_t>(topo::Relation::kProvider)) {
-      return "link stored from the customer side";
-    }
-    if (a == b) return "self-link";
-    if (!builder->HasAs(a) || !builder->HasAs(b)) return "link to unknown AS";
-    if (builder->RelationOf(a, b).has_value()) return "duplicate link";
-    builder->AddLink(a, b, static_cast<topo::Relation>(rel));
-  }
-  if (!r.AtEnd()) return "trailing bytes";
   return "";
 }
 
@@ -339,9 +340,10 @@ std::string ParseCsrSection(const unsigned char* base, std::size_t size,
 }
 
 // One checkpointed baseline: the announcement plus the full converged state.
-// Adj-RIB-In and sent entries are keyed by neighbor ASN (not by raw slot
-// index) so a state restores correctly into any graph with the same link
-// set, regardless of adjacency-list insertion order.
+// Each Adj-RIB-In and sent entry carries its neighbor's ASN. The graph it
+// restores into comes from the same file's kCsrGraph section, slot order
+// intact, so the key only double-checks the position: the loader resolves it
+// back to a slot and rejects an entry that names a non-neighbor.
 void WriteBaseline(ByteWriter& w, const topo::AsGraph& graph,
                    const bgp::PropagationResult& state) {
   w.U32(state.GetAnnouncement().origin);
@@ -371,7 +373,9 @@ std::string ReadBaseline(
   bgp::Announcement announcement;
   if (!r.U32(&announcement.origin)) return "truncated origin";
   if (!graph.HasAs(announcement.origin)) return "unknown origin AS";
-  if (!ReadPolicy(r, &announcement.prepends)) return "truncated policy";
+  if (std::string err = ReadPolicy(r, &announcement.prepends); !err.empty()) {
+    return "policy: " + err;
+  }
   std::int32_t rounds;
   if (!r.I32(&rounds)) return "truncated round count";
 
@@ -385,7 +389,9 @@ std::string ReadBaseline(
     if (!r.U8(&has_best)) return "truncated best route";
     if (has_best != 0) {
       bgp::Route route;
-      if (!ReadRoute(r, &route)) return "malformed best route";
+      if (std::string err = ReadRoute(r, &route); !err.empty()) {
+        return "best route: " + err;
+      }
       best[i] = std::move(route);
     }
     std::int32_t round;
@@ -417,7 +423,9 @@ std::string ReadBaseline(
       sent[i][slot] = sent_flag != 0 ? 1 : 0;
       if (has_route != 0) {
         bgp::Route route;
-        if (!ReadRoute(r, &route)) return "malformed RIB route";
+        if (std::string err = ReadRoute(r, &route); !err.empty()) {
+          return "RIB route: " + err;
+        }
         rib_in[i][slot] = std::move(route);
       }
     }
@@ -486,14 +494,22 @@ std::string WriteSnapshotFile(
   info.U64(graph.NumLinks());
   info.U64(baselines.size());
 
+  if (std::string err = CheckPolicy(policy); !err.empty()) {
+    return "policy: " + err;
+  }
   ByteWriter policy_section;
   WritePolicy(policy_section, policy);
 
   ByteWriter baseline_section;
   baseline_section.U64(baselines.size());
-  for (const auto& baseline : baselines) {
+  for (std::size_t i = 0; i < baselines.size(); ++i) {
+    const auto& baseline = baselines[i];
     if (baseline == nullptr || &baseline->Graph() != &graph) {
       return "baseline was not computed over the snapshot graph";
+    }
+    if (std::string err = CheckPolicy(baseline->GetAnnouncement().prepends);
+        !err.empty()) {
+      return "baseline " + std::to_string(i) + " policy: " + err;
     }
     WriteBaseline(baseline_section, graph, *baseline);
   }
@@ -574,8 +590,7 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
     return path + ": " + message;
   };
 
-  // Shared so the graph can keep the mapping alive past Load (the zero-copy
-  // CSR path); a v1 rebuild load drops the mapping when Load returns.
+  // Shared so the zero-copy graph can keep the mapping alive past Load.
   auto file = std::make_shared<MappedFile>();
   if (std::string err = file->Open(path); !err.empty()) return fail(err);
 
@@ -595,9 +610,9 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
       !header.U64(&declared_size)) {
     return fail("truncated header");
   }
-  if (version == 0 || version > kSnapshotVersion) {
+  if (version != kSnapshotVersion) {
     return fail("version skew: file has version " + std::to_string(version) +
-                ", loader supports up to " + std::to_string(kSnapshotVersion));
+                ", loader reads version " + std::to_string(kSnapshotVersion));
   }
   if (declared_size != file->Size()) {
     return fail("truncated file: header declares " +
@@ -611,11 +626,17 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
   ByteReader table(file->Data() + kHeaderSize,
                    section_count * kSectionEntrySize);
   std::vector<SectionEntry> entries(section_count);
+  std::set<std::uint32_t> types;
   for (SectionEntry& entry : entries) {
     table.U32(&entry.type);
     table.U32(&entry.crc);
     table.U64(&entry.offset);
     table.U64(&entry.size);
+    // Each section type appears at most once: a second copy would otherwise
+    // merge into (policy) or silently replace (info) the first.
+    if (!types.insert(entry.type).second) {
+      return fail("section " + std::to_string(entry.type) + ": repeated");
+    }
     if (entry.offset > file->Size() ||
         entry.size > file->Size() - entry.offset) {
       return fail("section " + std::to_string(entry.type) +
@@ -643,20 +664,7 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
         loaded.info_.version = version;
         break;
       }
-      case kTopology: {
-        if (have_graph) return fail("duplicate graph section");
-        topo::GraphBuilder builder;
-        if (std::string err = ParseTopologySection(r, &builder);
-            !err.empty()) {
-          return fail("topology section: " + err);
-        }
-        *loaded.graph_ = builder.Freeze();
-        loaded.info_.legacy_topology = true;
-        have_graph = true;
-        break;
-      }
       case kCsrGraph: {
-        if (have_graph) return fail("duplicate graph section");
         if (std::string err =
                 ParseCsrSection(file->Data() + entry.offset, entry.size, file,
                                 loaded.graph_.get());
@@ -667,9 +675,10 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
         break;
       }
       case kPolicy: {
-        if (!ReadPolicy(r, &loaded.policy_) || !r.AtEnd()) {
-          return fail("policy section: truncated");
+        if (std::string err = ReadPolicy(r, &loaded.policy_); !err.empty()) {
+          return fail("policy section: " + err);
         }
+        if (!r.AtEnd()) return fail("policy section: trailing bytes");
         break;
       }
       case kBaselines: {
@@ -689,9 +698,6 @@ std::string Snapshot::Load(const std::string& path, Snapshot& out) {
       }
       case kDefense: {
         if (!have_graph) return fail("defense section before the graph");
-        if (!loaded.defense_tags_.empty()) {
-          return fail("duplicate defense section");
-        }
         std::uint64_t count;
         if (!r.U64(&count)) return fail("defense section: truncated");
         if (count != loaded.graph_->NumAses()) {

@@ -18,10 +18,6 @@
 //
 // Section types:
 //   kInfo     (1): creator string + entity counts (printed by --info)
-//   kTopology (2): v1 only — ASN list + link triples, rebuilt through
-//                  GraphBuilder on load. Deprecated: v2 writers emit
-//                  kCsrGraph instead and the rebuild path exists solely so
-//                  old snapshot files keep loading.
 //   kPolicy   (3): PrependPolicy defaults + per-neighbor overrides
 //   kBaselines(4): checkpointed converged PropagationResults
 //   kCsrGraph (5): the frozen AsGraph's CSR arrays verbatim, every array
@@ -39,14 +35,19 @@
 //                  keeping undefended snapshots byte-identical to pre-kDefense
 //                  writers. Loaders that predate the section ignore it.
 //
-// Loading validates the magic, version, declared file size, section bounds,
-// and each section's CRC32 before touching its payload; a truncated file,
-// flipped bit, or version skew yields a clean error string, never UB. The
-// CSR section additionally passes AsGraph::FromCsr's structural validation
-// (extents, id ranges, back slots, grouping, interning table, ranks), so a
-// CRC collision still cannot smuggle an out-of-bounds index into the
-// engines. The graph a Snapshot owns lives on the heap so restored
-// baselines (which hold a pointer to it) survive moves of the Snapshot.
+// Loading validates the magic, version (only kSnapshotVersion loads), declared
+// file size, section bounds, that no section type repeats, and each section's
+// CRC32 before touching its payload; a truncated file, flipped bit, or
+// version skew yields a clean error string, never UB. Payloads are then held
+// to what the writer emits even behind a valid CRC: the CSR section passes
+// AsGraph::FromCsr's structural validation (extents, id ranges, back slots,
+// grouping, interning table, ranks), every pad count lies in
+// 1..bgp::kMaxPads, and no length read from the file sizes an allocation
+// before the section is known to hold that many bytes — so a crafted file
+// cannot smuggle an out-of-bounds index, an aborting pad count or an
+// oversized allocation into the engines. The graph a Snapshot owns lives on
+// the heap so restored baselines (which hold a pointer to it) survive moves
+// of the Snapshot.
 #pragma once
 
 #include <cstdint>
@@ -72,18 +73,16 @@ struct SnapshotInfo {
   // ASes with a non-empty defense tag (0 when the file has no kDefense
   // section); counted from the payload at load, not trusted from the file.
   std::uint64_t num_defense_tagged = 0;
-  // True when the graph was rebuilt from a v1 kTopology section instead of
-  // mapped zero-copy from a kCsrGraph section. Re-write such snapshots with a
-  // current tool to drop the deprecated format.
-  bool legacy_topology = false;
 };
 
 // Compiles `graph` + `policy` (+ optional checkpointed `baselines`, each of
 // which must have been produced over `graph`) into `path`. `creator`
 // identifies the producing tool in the info section. `defense_tags`, when
 // non-empty, must hold exactly graph.NumAses() per-AsId policy-tag bytes
-// (defense::PolicySet::RawTags) and becomes the kDefense section. Returns ""
-// on success, else an error message.
+// (defense::PolicySet::RawTags) and becomes the kDefense section. Every pad
+// count in `policy` and in each baseline's announcement must lie in
+// 1..bgp::kMaxPads, the range Load accepts. Returns "" on success, else an
+// error message.
 std::string WriteSnapshotFile(
     const std::string& path, const topo::AsGraph& graph,
     const bgp::PrependPolicy& policy,

@@ -7,9 +7,9 @@
 //   * bit-determinism at any parallelism: generating lines 0..n-1 with
 //     ParallelFor at any --threads yields the same bytes as a serial loop,
 //     so workload generation sits inside the metrics determinism guarantee;
-//   * replayability: perf_serve's byte-equivalence gate feeds the SAME line
-//     sequence to the reactor and to an in-process QueryService and demands
-//     identical response bytes.
+//   * replayability: reactor_test's byte-equivalence gate feeds the SAME
+//     line sequence to the reactor and to an in-process QueryService and
+//     demands identical response bytes.
 //
 // The op mix is a scripted weight string, e.g. "impact:6,route:3,detect:1".
 // Weights are integers; ops absent from the mix are never generated. The

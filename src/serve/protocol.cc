@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 
+#include "bgp/policy.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -148,7 +149,8 @@ std::string ParseRequest(std::string_view line, Request* out) {
       request.op == Op::kStrategy) {
     std::uint64_t value = 0;
     bool found = false;
-    if (!ReadBoundedInt(object, "lambda", 1, 64, &value, &found, &error)) {
+    if (!ReadBoundedInt(object, "lambda", 1, bgp::kMaxPads, &value, &found,
+                        &error)) {
       return error;
     }
     if (found) request.lambda = static_cast<int>(value);

@@ -143,8 +143,7 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
   // NEXT batch's generation; this one answers from the corpus it started on.
   const std::shared_ptr<Epoch> epoch = epochs_->Current();
   const auto enqueued = std::chrono::steady_clock::now();
-  pool_->Submit([this, conn, epoch, enqueued,
-                 lines = std::move(lines)]() mutable {
+  pool_->Submit([this, conn, epoch, enqueued, lines = std::move(lines)] {
     const std::size_t count = lines.size();
     std::vector<std::string> responses;
     responses.reserve(count);
@@ -162,22 +161,14 @@ void ReactorServer::HandleBatch(const std::shared_ptr<net::Conn>& conn,
         responses.push_back(DeadlineLine());
       }
     } else {
-      // Admin (reload) lines execute inline at their batch position; the
-      // rest go through the service as one batch.
-      std::vector<std::size_t> normal_index;
-      std::vector<std::string> normal_lines;
-      normal_index.reserve(count);
-      normal_lines.reserve(count);
-      responses.resize(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        if (HandleAdminLine(epochs_, lines[i], &responses[i])) continue;
-        normal_index.push_back(i);
-        normal_lines.push_back(std::move(lines[i]));
-      }
-      std::vector<std::string> answered =
-          epoch->service->HandleBatch(normal_lines);
-      for (std::size_t i = 0; i < normal_index.size(); ++i) {
-        responses[normal_index[i]] = std::move(answered[i]);
+      // Line by line, in order: admin (reload) lines execute inline at their
+      // batch position, every other line on the pinned epoch's service.
+      for (const std::string& line : lines) {
+        std::string response;
+        if (!HandleAdminLine(epochs_, line, &response)) {
+          response = epoch->service->Handle(line);
+        }
+        responses.push_back(std::move(response));
       }
     }
     const auto elapsed = std::chrono::steady_clock::now() - enqueued;

@@ -2,7 +2,7 @@
 // front end of asppi_serve.
 //
 // N event-loop shards (net::Server) carry connection counts far beyond the
-// thread count; perf_serve's ceiling probe gates 280 held-open connections.
+// thread count; reactor_test holds 280 connections open on a 4-thread pool.
 // Each readiness event drains a connection's complete request lines as ONE
 // batch:
 //
@@ -12,10 +12,10 @@
 //                demand across connections; over the bound the whole batch
 //                is answered "overloaded") → pin the current Epoch → submit
 //                to the shared ThreadPool;
-//   pool thread: deadline check (stale batches shed wholesale), reload
-//                interception (HandleAdminLine), then QueryService::HandleBatch
-//                (intra-batch dedup memo; each answer byte-identical to
-//                Handle), then conn->Reply(responses);
+//   pool thread: deadline check (stale batches shed wholesale), then each
+//                line in order: reload interception (HandleAdminLine), else
+//                QueryService::Handle on the pinned epoch; then
+//                conn->Reply(responses);
 //   loop thread: Reply appends, flushes, dispatches the next batch.
 //
 // Per-connection ordering holds because net::Conn keeps at most one batch in

@@ -22,9 +22,6 @@ struct ServiceMetrics {
   util::Counter cache_hits{"serve.cache.hits"};
   util::Counter cache_misses{"serve.cache.misses"};
   util::Counter cache_evictions{"serve.cache.evictions"};
-  util::Counter batches{"serve.batch.count"};
-  util::Counter batch_lines{"serve.batch.lines"};
-  util::Counter batch_dedup{"serve.batch.dedup_hits"};
   util::Timer execute{"serve.execute"};
 };
 
@@ -103,34 +100,12 @@ const defense::PolicySet* QueryService::ActiveDefense() const {
   return (set != nullptr && !set->Empty()) ? set : nullptr;
 }
 
-std::string QueryService::Handle(std::string_view line) {
-  return HandleLine(line, /*memo=*/nullptr);
-}
-
-std::vector<std::string> QueryService::HandleBatch(
-    const std::vector<std::string>& lines) {
-  Instr().batches.Add();
-  Instr().batch_lines.Add(lines.size());
-  // The memo lives for one batch only: repeated cacheable requests inside
-  // the batch collapse onto one execution even when the result cache is
-  // disabled (cache_capacity = 0) or the entry was just evicted.
-  std::unordered_map<std::string, std::string> memo;
-  std::vector<std::string> responses;
-  responses.reserve(lines.size());
-  for (const std::string& line : lines) {
-    responses.push_back(HandleLine(line, &memo));
-  }
-  return responses;
-}
-
 void QueryService::SetServerStatsFn(std::function<ServerStats()> fn) {
   std::lock_guard<std::mutex> lock(stats_fn_mu_);
   server_stats_fn_ = std::move(fn);
 }
 
-std::string QueryService::HandleLine(
-    std::string_view line,
-    std::unordered_map<std::string, std::string>* memo) {
+std::string QueryService::Handle(std::string_view line) {
   Instr().requests.Add();
   const auto start = std::chrono::steady_clock::now();
   Request request;
@@ -151,26 +126,14 @@ std::string QueryService::HandleLine(
       if (const defense::PolicySet* active = ActiveDefense()) {
         key += active->CacheKey();
       }
-      bool memo_hit = false;
-      if (memo != nullptr) {
-        const auto it = memo->find(key);
-        if (it != memo->end()) {
-          Instr().batch_dedup.Add();
-          response = it->second;
-          memo_hit = true;
-        }
-      }
-      if (!memo_hit) {
-        if (auto cached = cache_.Get(key)) {
-          Instr().cache_hits.Add();
-          response = *cached;
-        } else {
-          Instr().cache_misses.Add();
-          response = Execute(request);
-          const std::size_t evicted = cache_.Put(key, response);
-          if (evicted != 0) Instr().cache_evictions.Add(evicted);
-        }
-        if (memo != nullptr) memo->emplace(std::move(key), response);
+      if (auto cached = cache_.Get(key)) {
+        Instr().cache_hits.Add();
+        response = *cached;
+      } else {
+        Instr().cache_misses.Add();
+        response = Execute(request);
+        const std::size_t evicted = cache_.Put(key, response);
+        if (evicted != 0) Instr().cache_evictions.Add(evicted);
       }
     } else {
       response = Execute(request);

@@ -25,7 +25,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "attack/baseline_cache.h"
@@ -46,8 +45,7 @@ struct ServiceOptions {
   int default_lambda = 4;
   // Top-degree vantage-point count when "detect" omits "monitors".
   std::size_t default_monitors = 30;
-  // Result-cache entry budget (0 disables response caching — the ablation
-  // mode perf_serve measures).
+  // Result-cache entry budget (0 disables response caching).
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
   // Corpus-wide defense deployment (usually a snapshot's kDefense section).
@@ -94,15 +92,6 @@ class QueryService {
   // one JSON object (no trailing newline). Thread-safe.
   std::string Handle(std::string_view line);
 
-  // Batch entry point (the reactor's readiness-sized drains land here): one
-  // response per line, in order, each byte-identical to what Handle() would
-  // have produced. The batch amortization is an intra-batch memo on the full
-  // cache key — a burst of identical what-ifs (the common pipelined-client
-  // shape) executes once and answers N times, without N round trips through
-  // the sharded cache. Thread-safe.
-  std::vector<std::string> HandleBatch(
-      const std::vector<std::string>& lines);
-
   // Installs the transport's live-counter hook; "stats" responses then carry
   // an "epoch" field and a "server" object. An empty `fn` removes it.
   // Thread-safe.
@@ -124,12 +113,6 @@ class QueryService {
 
   // The import filter what-if runs honor (null = undefended).
   const defense::PolicySet* ActiveDefense() const;
-
-  // Shared core of Handle/HandleBatch. `memo` (optional) maps full cache
-  // keys to responses already computed earlier in the same batch.
-  std::string HandleLine(
-      std::string_view line,
-      std::unordered_map<std::string, std::string>* memo);
 
   std::string Execute(const Request& request);
   std::string RunImpact(const Request& request);

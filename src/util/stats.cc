@@ -132,11 +132,6 @@ double Stddev(const std::vector<double>& v) {
   return std::sqrt(acc / static_cast<double>(v.size()));
 }
 
-double Quantile(std::vector<double> v, double q) {
-  return Cdf(std::move(v)).Quantile(q);
-}
-
-
 void LatencyHistogram::RecordNs(std::uint64_t ns) {
   std::size_t bucket = 0;
   while (bucket + 1 < kBuckets && (std::uint64_t{1} << (bucket + 1)) <= ns) {

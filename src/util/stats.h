@@ -97,7 +97,5 @@ class LatencyHistogram {
 double Mean(const std::vector<double>& v);
 // Population standard deviation (0 for size < 2).
 double Stddev(const std::vector<double>& v);
-// q-quantile by sorting a copy.
-double Quantile(std::vector<double> v, double q);
 
 }  // namespace asppi::util

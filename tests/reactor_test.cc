@@ -1,12 +1,14 @@
 // serve::ReactorServer — asppi_serve's TCP front end: all ops over TCP,
 // pipelined ordering, concurrent connections, batch admission (one inflight
 // slot per BATCH, so a pipelined burst on one connection never trips the
-// overload gate), whole-batch shedding, the connection cap, graceful drain
-// and idempotent Stop, start/stop cycles over one service, and byte
-// equivalence of a full transcript with an in-process reference. The
-// ServerTest suite pins the same front end's wire contract for a plain
-// line-at-a-time client. The epoch suites cover hot reload: a swap mid-stream never drops or tears a query,
-// and the concurrent swap+query suite is a TSan target.
+// overload gate), whole-batch shedding, the connection cap, hundreds of
+// held-open connections on a few pool threads, graceful drain and idempotent
+// Stop, start/stop cycles over one service, and byte equivalence of full
+// transcripts (hand-written and load-generated) with an in-process
+// reference. The ServerTest suite pins the same front end's wire contract for
+// a plain line-at-a-time client. The epoch suites cover hot reload: a swap
+// mid-stream never drops or tears a query, a reload line runs at its batch
+// position, and the concurrent swap+query suite is a TSan target.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -20,8 +22,10 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "load/workload.h"
 #include "serve/epoch.h"
 #include "serve/protocol.h"
 #include "serve/reactor.h"
@@ -134,6 +138,47 @@ class ReactorTest : public ::testing::Test {
            R"(,"observer":)" + std::to_string(gen_.tier1[tier1]) + "}";
   }
 
+  // `script` pipelined down one connection to a fresh server, half-closed,
+  // and read to EOF.
+  std::string ServedTranscript(const std::string& script) {
+    QueryService service(gen_.graph, {});
+    EpochManager epochs;
+    epochs.Install(MakeUnownedEpoch(&service, 1));
+    ReactorServer server(&epochs, &pool_);
+    EXPECT_EQ(server.Start(), "");
+    Client client(server.Port());
+    EXPECT_TRUE(client.Connected());
+    EXPECT_TRUE(client.SendRaw(script));
+    client.ShutdownWrite();
+    std::string transcript = client.ReadAll();
+    server.Stop();
+    return transcript;
+  }
+
+  // What an in-process reference answers to `script`, line by line: reload
+  // lines through HandleAdminLine on a fresh EpochManager, every other line
+  // through Handle on a fresh QueryService, so cold caches and health
+  // counters start equal with the served side.
+  std::string ReferenceTranscript(const std::string& script) const {
+    QueryService reference(gen_.graph, {});
+    EpochManager epochs;
+    epochs.Install(MakeUnownedEpoch(&reference, 1));
+    std::string transcript;
+    std::size_t start = 0;
+    while (start < script.size()) {
+      std::size_t end = script.find('\n', start);
+      if (end == std::string::npos) end = script.size();
+      const std::string line = script.substr(start, end - start);
+      start = end + 1;
+      std::string response;
+      if (!HandleAdminLine(&epochs, line, &response)) {
+        response = reference.Handle(line);
+      }
+      transcript += response + "\n";
+    }
+    return transcript;
+  }
+
   topo::GeneratedTopology gen_;
   util::ThreadPool pool_;
 };
@@ -225,55 +270,38 @@ TEST_F(ReactorTest, ConcurrentConnectionsGetConsistentAnswers) {
   EXPECT_EQ(stats.overload_rejects, 0u);
 }
 
-// Identical request bytes in, identical response bytes out: the served
-// transcript against an in-process reference — reload lines through
-// HandleAdminLine on a fresh EpochManager, every other line through Handle on
-// a fresh QueryService, so cold caches and health counters start equal.
+// Identical request bytes in, identical response bytes out: each script's
+// served transcript against the in-process reference.
 TEST_F(ReactorTest, TranscriptsAreByteIdenticalAcrossServers) {
   std::vector<std::string> lines;
   for (int i = 0; i < 6; ++i) lines.push_back(ImpactLine(i, i % 4));
   for (int i = 0; i < 4; ++i) lines.push_back(RouteLine(i + 6, i % 4));
-  // Duplicates exercise the batch dedup memo; the malformed line and the
+  // Repeats answer from the result cache; the malformed line and the
   // reload-without-a-reloader error must also match byte for byte.
   for (int i = 0; i < 3; ++i) lines.push_back(ImpactLine(0, 0));
   lines.push_back(R"({"op":"impact","victim":1})");
   lines.push_back(R"({"op":"reload"})");
   lines.push_back(R"({"op":"health"})");
-  const std::size_t expected_lines = 16;
-  std::string script;
-  for (const std::string& line : lines) script += line + "\n";
+  std::string handwritten;
+  for (const std::string& line : lines) handwritten += line + "\n";
 
-  std::string transcript;
-  {
-    QueryService service(gen_.graph, {});
-    EpochManager epochs;
-    epochs.Install(MakeUnownedEpoch(&service, 1));
-    ReactorServer server(&epochs, &pool_);
-    ASSERT_EQ(server.Start(), "");
-    Client client(server.Port());
-    ASSERT_TRUE(client.Connected());
-    ASSERT_TRUE(client.SendRaw(script));
-    client.ShutdownWrite();
-    transcript = client.ReadAll();
-    server.Stop();
+  // The load generator's scripted workload over the fixture's ASNs: every
+  // op but stats (its uptime varies), with repeats from the hot victim set.
+  load::WorkloadOptions workload;
+  workload.seed = 42;
+  workload.as_count = static_cast<std::uint32_t>(gen_.graph.NumAses());
+  workload.mix = "impact:50,route:25,detect:15,defense:5,health:5";
+  const std::string generated = load::Workload(workload).Script(160);
+
+  const std::pair<const std::string*, std::size_t> scripts[] = {
+      {&handwritten, 16}, {&generated, 160}};
+  for (const auto& [script, expected_lines] : scripts) {
+    const std::string transcript = ServedTranscript(*script);
+    std::size_t newlines = 0;
+    for (char c : transcript) newlines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(newlines, expected_lines);
+    EXPECT_EQ(transcript, ReferenceTranscript(*script));
   }
-
-  QueryService reference(gen_.graph, {});
-  EpochManager reference_epochs;
-  reference_epochs.Install(MakeUnownedEpoch(&reference, 1));
-  std::string expected;
-  for (const std::string& line : lines) {
-    std::string response;
-    if (!HandleAdminLine(&reference_epochs, line, &response)) {
-      response = reference.Handle(line);
-    }
-    expected += response + "\n";
-  }
-
-  std::size_t newlines = 0;
-  for (char c : transcript) newlines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(newlines, expected_lines);
-  EXPECT_EQ(transcript, expected);
 }
 
 // Admission charges one slot per BATCH: a deep pipelined burst on a single
@@ -355,6 +383,33 @@ TEST_F(ReactorTest, RejectsConnectionsBeyondTheCap) {
   ASSERT_TRUE(second.Connected());
   second.Send(R"({"op":"health"})");
   EXPECT_EQ(second.ReadLine(), "");
+  server.Stop();
+}
+
+// Connections are not threads: 280 held open at once on the fixture's
+// 4-thread pool, each answering a health query, are all admitted. The test
+// counts and never times, so it holds under sanitizers; its 560 in-process
+// descriptors (client and server ends) stay under the common 1024 limit.
+TEST_F(ReactorTest, AdmitsHeldOpenConnectionsFarBeyondPoolThreads) {
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  constexpr std::size_t kConnections = 280;
+  std::vector<std::unique_ptr<Client>> held;
+  for (std::size_t i = 0; i < kConnections; ++i) {
+    held.push_back(std::make_unique<Client>(server.Port()));
+    ASSERT_TRUE(held.back()->Connected()) << "connection " << i;
+    const std::string reply = held.back()->RoundTrip(R"({"op":"health"})");
+    ASSERT_NE(reply, "") << "connection " << i << " closed unanswered";
+    ASSERT_TRUE(MustParse(reply).Find("ok")->AsBool()) << reply;
+  }
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(stats.accepted, kConnections);
+  EXPECT_EQ(stats.overload_rejects, 0u);
+  held.clear();
   server.Stop();
 }
 
@@ -627,6 +682,33 @@ TEST_F(ReactorReloadTest, ReloadSwapsEpochsWithoutDroppingQueries) {
   Client fresh(server.Port());
   ASSERT_TRUE(fresh.Connected());
   EXPECT_EQ(fresh.RoundTrip(line), from_b);
+  server.Stop();
+}
+
+// A batch's lines run in request order, admin lines included: a stats line
+// pipelined ahead of a reload reports the epoch it ran under, and one behind
+// it the new epoch (stats reads the current epoch id live).
+TEST_F(ReactorReloadTest, AdminLinesRunAtTheirBatchPosition) {
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service_a_, 1));
+  epochs.SetReloader([this](std::uint64_t next_id,
+                            std::shared_ptr<Epoch>* out) {
+    *out = MakeUnownedEpoch(&service_b_, next_id);
+    return std::string();
+  });
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  const std::string stats = R"({"op":"stats"})";
+  ASSERT_TRUE(
+      client.SendRaw(stats + "\n" + R"({"op":"reload"})" + "\n" + stats + "\n"));
+  for (const double epoch : {1.0, 2.0, 2.0}) {
+    const util::Json response = MustParse(client.ReadLine());
+    ASSERT_NE(response.Find("epoch"), nullptr);
+    EXPECT_EQ(response.Find("epoch")->AsDouble(), epoch);
+  }
   server.Stop();
 }
 

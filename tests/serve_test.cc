@@ -404,7 +404,7 @@ TEST_F(ServiceTest, DetectReportsAttackConsistently) {
 }
 
 TEST_F(ServiceTest, CachedAndUncachedServicesAgreeByteForByte) {
-  // Identical corpus, cache on vs cache off (the perf_serve ablation): every
+  // Identical corpus, cache on vs cache off (asppi_serve --cache=0): every
   // response must be byte-identical, and a repeat through the cache must
   // return exactly the bytes the engines produced.
   ServiceOptions no_cache;

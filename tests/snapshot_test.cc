@@ -1,7 +1,9 @@
 // Binary snapshot format: round-trip fidelity (graph, policy, checkpointed
 // baselines), warm-start equivalence through attack::BaselineCache, and the
-// corruption contract — a truncated file, flipped bit, wrong magic, or
-// version skew yields a clean error string, never UB.
+// corruption contract — a truncated file, flipped bit, wrong magic, version
+// skew, repeated section, or a CRC-repaired out-of-range pad count or hop
+// count yields a clean error string, never UB, an abort or an oversized
+// allocation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -188,7 +190,23 @@ TEST(Snapshot, WarmStartedAttackMatchesColdRun) {
   std::remove(path.c_str());
 }
 
-// --- kDefense section --------------------------------------------------------
+// --- editing a written snapshot image ----------------------------------------
+
+// Little-endian field access into a snapshot image.
+std::uint64_t LoadLe(const std::string& bytes, std::size_t at, int width) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < width; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void StoreLe(std::string& bytes, std::size_t at, int width, std::uint64_t v) {
+  for (int i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>(v >> (8 * i));
+  }
+}
 
 // Section-table entry for the first section of `type` (-1 if absent).
 // Header: magic[8] version@8 section_count@12 file_size@16; entries of 24
@@ -201,37 +219,28 @@ struct TableEntry {
 
 std::optional<TableEntry> FindSection(const std::string& bytes,
                                       std::uint32_t type) {
-  std::uint32_t count = 0;
-  for (int i = 0; i < 4; ++i) {
-    count |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(bytes[12 + i]))
-             << (8 * i);
-  }
-  for (std::uint32_t s = 0; s < count; ++s) {
+  const std::uint64_t count = LoadLe(bytes, 12, 4);
+  for (std::uint64_t s = 0; s < count; ++s) {
     const std::size_t at = 24 + s * 24;
-    std::uint32_t entry_type = 0;
-    for (int i = 0; i < 4; ++i) {
-      entry_type |= static_cast<std::uint32_t>(
-                        static_cast<unsigned char>(bytes[at + i]))
-                    << (8 * i);
-    }
-    if (entry_type != type) continue;
-    TableEntry entry;
-    entry.entry_offset = at;
-    for (int i = 0; i < 8; ++i) {
-      entry.offset |= static_cast<std::uint64_t>(
-                          static_cast<unsigned char>(bytes[at + 8 + i]))
-                      << (8 * i);
-      entry.size |= static_cast<std::uint64_t>(
-                        static_cast<unsigned char>(bytes[at + 16 + i]))
-                    << (8 * i);
-    }
-    return entry;
+    if (LoadLe(bytes, at, 4) != type) continue;
+    return TableEntry{at, LoadLe(bytes, at + 8, 8), LoadLe(bytes, at + 16, 8)};
   }
   return std::nullopt;
 }
 
+// Recomputes `entry`'s CRC after its payload was edited, so the edit gets
+// past the checksum and reaches the section parser.
+void RestampCrc(std::string& bytes, const TableEntry& entry) {
+  StoreLe(bytes, entry.entry_offset + 4, 4,
+          util::Crc32(bytes.data() + entry.offset, entry.size));
+}
+
+constexpr std::uint32_t kInfoSectionType = 1;
+constexpr std::uint32_t kPolicySectionType = 3;
+constexpr std::uint32_t kBaselinesSectionType = 4;
 constexpr std::uint32_t kDefenseSectionType = 6;
+
+// --- kDefense section --------------------------------------------------------
 
 TEST(Snapshot, RoundTripsDefenseTags) {
   const auto gen = SmallTopology(29);
@@ -296,11 +305,7 @@ TEST(Snapshot, LoadRejectsCraftedDefenseTagBehindTheCrc) {
   ASSERT_TRUE(entry.has_value());
   // Payload is u64 count + tag bytes; poison the last tag and re-stamp.
   bytes[entry->offset + entry->size - 1] = static_cast<char>(0xFF);
-  const std::uint32_t crc =
-      util::Crc32(bytes.data() + entry->offset, entry->size);
-  for (int i = 0; i < 4; ++i) {
-    bytes[entry->entry_offset + 4 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  RestampCrc(bytes, *entry);
   WriteFile(path, bytes);
 
   Snapshot snapshot;
@@ -331,15 +336,159 @@ TEST(Snapshot, LoadRejectsBadMagic) {
 }
 
 TEST(Snapshot, LoadRejectsVersionSkew) {
+  // Newer files and the retired v1 format alike: only kSnapshotVersion loads.
   const auto gen = SmallTopology();
   const std::string path = TempPath("version.snap");
   ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {}, "t"), "");
+  const std::string bytes = ReadFile(path);
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+    std::string skewed = bytes;
+    StoreLe(skewed, 8, 4, version);
+    WriteFile(path, skewed);
+    Snapshot snapshot;
+    const std::string err = Snapshot::Load(path, snapshot);
+    EXPECT_NE(err.find("version skew"), std::string::npos)
+        << "version " << version << ": " << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, LoadRejectsRepeatedSections) {
+  // A second copy of a section would merge into the first (policy defaults)
+  // or replace it (info, baselines); any repeated type is an error instead.
+  // The copy goes in as one more table entry with its payload appended: every
+  // existing section shifts by one 24-byte entry, so the CSR section stays
+  // 8-aligned and only the repeat is wrong with the file.
+  const auto gen = SmallTopology();
+  bgp::PropagationSimulator engine(gen.graph);
+  bgp::Announcement announcement;
+  announcement.origin = gen.stubs[0];
+  announcement.prepends.SetDefault(announcement.origin, 3);
+  auto baseline = std::make_shared<const bgp::PropagationResult>(
+      engine.Run(announcement));
+  bgp::PrependPolicy policy;
+  policy.SetDefault(gen.tier1[0], 4);
+  const std::string path = TempPath("repeated.snap");
+  ASSERT_EQ(WriteSnapshotFile(path, gen.graph, policy, {baseline}, "t"), "");
+  const std::string bytes = ReadFile(path);
+  const std::uint64_t count = LoadLe(bytes, 12, 4);
+  const std::size_t table_end = 24 + count * 24;
+
+  for (const std::uint32_t type :
+       {kInfoSectionType, kPolicySectionType, kBaselinesSectionType}) {
+    const auto entry = FindSection(bytes, type);
+    ASSERT_TRUE(entry.has_value()) << "section " << type;
+    std::string table = bytes.substr(24, table_end - 24);
+    for (std::uint64_t s = 0; s < count; ++s) {
+      StoreLe(table, s * 24 + 8, 8, LoadLe(table, s * 24 + 8, 8) + 24);
+    }
+    std::string copy = bytes.substr(entry->entry_offset, 24);
+    StoreLe(copy, 8, 8, bytes.size() + 24);
+    std::string header = bytes.substr(0, 24);
+    StoreLe(header, 12, 4, count + 1);
+    StoreLe(header, 16, 8, bytes.size() + 24 + entry->size);
+    WriteFile(path, header + table + copy + bytes.substr(table_end) +
+                        bytes.substr(entry->offset, entry->size));
+
+    Snapshot snapshot;
+    const std::string err = Snapshot::Load(path, snapshot);
+    EXPECT_NE(err.find("section " + std::to_string(type) + ": repeated"),
+              std::string::npos)
+        << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, PadCountsOutsideTheProtocolRangeNeverLoadOrWrite) {
+  // PrependPolicy aborts on pads < 1, and --policy, --lambda and the wire
+  // protocol all cap pads at 64. A CRC-repaired pad count of 0 or 65 — in the
+  // corpus policy or in a baseline's announcement — is a load error, and the
+  // writer refuses what the loader would refuse.
+  const auto gen = SmallTopology();
+  bgp::PropagationSimulator engine(gen.graph);
+  bgp::Announcement announcement;
+  announcement.origin = gen.stubs[0];
+  announcement.prepends.SetDefault(announcement.origin, 3);
+  auto baseline = std::make_shared<const bgp::PropagationResult>(
+      engine.Run(announcement));
+  bgp::PrependPolicy policy;
+  policy.SetDefault(gen.tier1[0], 4);
+  const std::string path = TempPath("pads.snap");
+  ASSERT_EQ(WriteSnapshotFile(path, gen.graph, policy, {baseline}, "t"), "");
+  const std::string bytes = ReadFile(path);
+
+  // The first default's i32 pads: kPolicy is u64 count | u32 asn | i32 pads;
+  // kBaselines is u64 count | u32 origin | the announcement's policy.
+  const auto policy_entry = FindSection(bytes, kPolicySectionType);
+  const auto baselines_entry = FindSection(bytes, kBaselinesSectionType);
+  ASSERT_TRUE(policy_entry.has_value());
+  ASSERT_TRUE(baselines_entry.has_value());
+  struct PadsField {
+    TableEntry section;
+    std::size_t at;         // offset within the section
+    std::uint64_t written;  // the pad count the writer put there
+  };
+  const PadsField fields[] = {{*policy_entry, 8 + 4, 4},
+                              {*baselines_entry, 8 + 4 + 8 + 4, 3}};
+  for (const PadsField& field : fields) {
+    const std::size_t at = field.section.offset + field.at;
+    ASSERT_EQ(LoadLe(bytes, at, 4), field.written);
+    for (const std::uint32_t pads : {0u, 65u}) {
+      std::string crafted = bytes;
+      StoreLe(crafted, at, 4, pads);
+      RestampCrc(crafted, field.section);
+      WriteFile(path, crafted);
+      Snapshot snapshot;
+      const std::string err = Snapshot::Load(path, snapshot);
+      EXPECT_NE(err.find("pad count " + std::to_string(pads) + " outside 1..64"),
+                std::string::npos)
+          << err;
+    }
+  }
+
+  bgp::PrependPolicy too_long;
+  too_long.SetDefault(gen.tier1[0], 65);
+  EXPECT_NE(WriteSnapshotFile(path, gen.graph, too_long, {}, "t"), "");
+  bgp::Announcement padded = announcement;
+  padded.prepends.SetForNeighbor(gen.stubs[0], gen.tier1[0], 65);
+  auto padded_baseline =
+      std::make_shared<const bgp::PropagationResult>(engine.Run(padded));
+  EXPECT_NE(WriteSnapshotFile(path, gen.graph, {}, {padded_baseline}, "t"),
+            "");
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, LoadRejectsHopCountPastTheSectionEnd) {
+  // A hop count is checked against the bytes its section has left before the
+  // path is sized: a CRC-repaired count can never drive a huge allocation.
+  const auto gen = SmallTopology();
+  bgp::PropagationSimulator engine(gen.graph);
+  bgp::Announcement announcement;
+  announcement.origin = gen.stubs[0];
+  announcement.prepends.SetDefault(announcement.origin, 3);
+  auto baseline = std::make_shared<const bgp::PropagationResult>(
+      engine.Run(announcement));
+  const std::string path = TempPath("hops.snap");
+  ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {baseline}, "t"), "");
   std::string bytes = ReadFile(path);
-  bytes[8] = static_cast<char>(kSnapshotVersion + 1);  // u32 LE version
+  const auto entry = FindSection(bytes, kBaselinesSectionType);
+  ASSERT_TRUE(entry.has_value());
+
+  // u64 count | u32 origin | policy (u64 1 | u32 asn | i32 pads | u64 0) |
+  // i32 rounds, then AsId 0's has-best byte and its route's u32 hop count.
+  const std::size_t has_best = entry->offset + 8 + 4 + 24 + 4;
+  ASSERT_EQ(bytes[has_best], 1);
+  const std::size_t hop_count = has_best + 1;
+  const std::uint64_t left = entry->offset + entry->size - (hop_count + 4);
+  const std::uint64_t overrun = left / 4 + 1;
+  StoreLe(bytes, hop_count, 4, overrun);
+  RestampCrc(bytes, *entry);
   WriteFile(path, bytes);
+
   Snapshot snapshot;
   const std::string err = Snapshot::Load(path, snapshot);
-  EXPECT_NE(err.find("version"), std::string::npos) << err;
+  EXPECT_NE(err.find("hop count " + std::to_string(overrun)), std::string::npos)
+      << err;
   std::remove(path.c_str());
 }
 
@@ -387,7 +536,7 @@ TEST(Snapshot, LoadRejectsFlippedPayloadBits) {
   std::remove(flip_path.c_str());
 }
 
-// --- v2 format: CSR section + v1 legacy rebuild -----------------------------
+// --- v2 format: zero-copy CSR section ----------------------------------------
 
 TEST(Snapshot, V2LoadIsNotLegacy) {
   const auto gen = SmallTopology();
@@ -396,7 +545,6 @@ TEST(Snapshot, V2LoadIsNotLegacy) {
   Snapshot snapshot;
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
   EXPECT_EQ(snapshot.Info().version, 2u);
-  EXPECT_FALSE(snapshot.Info().legacy_topology);
   std::remove(path.c_str());
 }
 
@@ -411,91 +559,6 @@ TEST(Snapshot, GraphOutlivesTheSnapshotFile) {
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
   std::remove(path.c_str());
   EXPECT_TRUE(SameGraph(gen.graph, snapshot.Graph()));
-}
-
-namespace v1 {
-
-// Mini writer replicating the v1 format (byte-packed LE, kTopology section)
-// so the deprecated rebuild path stays covered now that the production
-// writer only emits v2.
-void U32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-void U64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::string BuildFile(const topo::AsGraph& graph, const std::string& creator) {
-  std::string info;
-  U32(info, static_cast<std::uint32_t>(creator.size()));
-  info += creator;
-  U64(info, graph.NumAses());
-  U64(info, graph.NumLinks());
-  U64(info, 0);  // baselines
-
-  std::string topology;
-  U64(topology, graph.NumAses());
-  for (topo::Asn asn : graph.Ases()) U32(topology, asn);
-  U64(topology, graph.NumLinks());
-  // Each link once: customer links from the provider side, symmetric links
-  // from the lower-ASN side — the v1 writer's emission rule.
-  for (topo::Asn a : graph.Ases()) {
-    for (const topo::AsGraph::Neighbor& n : graph.NeighborsOf(a)) {
-      if (n.rel == topo::Relation::kProvider) continue;
-      if (n.rel != topo::Relation::kCustomer && n.asn < a) continue;
-      U32(topology, a);
-      U32(topology, n.asn);
-      topology.push_back(static_cast<char>(n.rel));
-    }
-  }
-
-  const std::string* sections[] = {&info, &topology};
-  const std::uint32_t types[] = {1, 2};  // kInfo, kTopology
-  std::string header = "ASPPISNP";
-  U32(header, 1);  // version 1
-  U32(header, 2);  // section count
-  std::string table;
-  std::uint64_t offset = 24 + 2 * 24;
-  std::uint64_t total = offset;
-  for (int i = 0; i < 2; ++i) {
-    U32(table, types[i]);
-    U32(table, util::Crc32(sections[i]->data(), sections[i]->size()));
-    U64(table, offset);
-    U64(table, sections[i]->size());
-    offset += sections[i]->size();
-    total += sections[i]->size();
-  }
-  U64(header, total);
-  return header + table + info + topology;
-}
-
-}  // namespace v1
-
-TEST(Snapshot, V1FileLoadsThroughTheRebuildPath) {
-  const auto gen = SmallTopology(23);
-  const std::string path = TempPath("v1.snap");
-  WriteFile(path, v1::BuildFile(gen.graph, "legacy_tool"));
-
-  Snapshot snapshot;
-  ASSERT_EQ(Snapshot::Load(path, snapshot), "");
-  EXPECT_EQ(snapshot.Info().version, 1u);
-  EXPECT_TRUE(snapshot.Info().legacy_topology);
-  EXPECT_EQ(snapshot.Info().creator, "legacy_tool");
-  EXPECT_TRUE(SameGraph(gen.graph, snapshot.Graph()));
-  std::remove(path.c_str());
-}
-
-TEST(Snapshot, V1CorruptTopologyStillRejected) {
-  const auto gen = SmallTopology(23);
-  std::string bytes = v1::BuildFile(gen.graph, "legacy_tool");
-  // Flip a payload byte well past the header+table region: the section CRC
-  // check must catch it on the legacy path too.
-  bytes[bytes.size() - 3] = static_cast<char>(bytes[bytes.size() - 3] ^ 0x10);
-  const std::string path = TempPath("v1corrupt.snap");
-  WriteFile(path, bytes);
-  Snapshot snapshot;
-  EXPECT_NE(Snapshot::Load(path, snapshot), "");
-  std::remove(path.c_str());
 }
 
 TEST(Snapshot, CsrStructuralValidationBehindTheCrc) {

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("port-file", "",
                          "write the bound port number to this file once "
                          "listening (for scripted clients)");
-  e.Flags().DefineInt("lambda", 4, "default victim prepend count");
+  e.Flags().DefineInt("lambda", 4, "default victim prepend count (1..64)");
   e.Flags().DefineUint("monitors", 30, "default top-degree vantage count");
   e.Flags().DefineUint("cache", 4096,
                        "result-cache entry budget (0 disables caching)");
@@ -77,6 +77,13 @@ int main(int argc, char** argv) {
   e.Flags().DefineInt("duration", 0,
                       "exit after this many seconds (0 = run until signal)");
   if (!e.ParseFlags(argc, argv)) return 1;
+  // Checked at startup: the service applies it to every request that omits
+  // "lambda", and PrependPolicy aborts on pads < 1.
+  if (e.Flags().GetInt("lambda") < 1 ||
+      e.Flags().GetInt("lambda") > bgp::kMaxPads) {
+    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
+    return 1;
+  }
 
   const std::string& snapshot_path = e.Flags().GetString("snapshot");
   const std::string& path =

@@ -46,11 +46,12 @@ bool ParsePolicyFlag(const std::string& text, bgp::PrependPolicy* policy) {
       asn = util::ParseAsn(parts[0]);
       pads = util::ParseUint(parts[1]);
     }
-    if (!asn.has_value() || !pads.has_value() || *pads < 1 || *pads > 64) {
+    if (!asn.has_value() || !pads.has_value() || *pads < 1 ||
+        *pads > bgp::kMaxPads) {
       std::fprintf(stderr,
                    "error: --policy entry '%s' is not ASN:PADS "
-                   "(pads in 1..64)\n",
-                   item.c_str());
+                   "(pads in 1..%d)\n",
+                   item.c_str(), bgp::kMaxPads);
       return false;
     }
     policy->SetDefault(static_cast<topo::Asn>(*asn), static_cast<int>(*pads));
@@ -160,7 +161,7 @@ int main(int argc, char** argv) {
                          "comma-separated origin ASNs whose attack-free "
                          "baselines are precomputed and embedded");
   e.Flags().DefineInt("lambda", 4,
-                      "default prepend count for embedded baselines");
+                      "default prepend count for embedded baselines (1..64)");
   e.Flags().DefineString("policy", "",
                          "prepend policy defaults to embed, as "
                          "ASN:PADS[,ASN:PADS...]");
@@ -175,6 +176,12 @@ int main(int argc, char** argv) {
                        "reload the written snapshot and cross-check it "
                        "against the text-loaded corpus");
   if (!e.ParseFlags(argc, argv)) return 1;
+  if (e.Flags().GetInt("lambda") < 1 ||
+      e.Flags().GetInt("lambda") > bgp::kMaxPads) {
+    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
+    return 1;
+  }
+  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
 
   if (e.Flags().GetBool("info")) {
     data::Snapshot snapshot;
@@ -209,7 +216,6 @@ int main(int argc, char** argv) {
   if (!ParseBaselinesFlag(e.Flags().GetString("baselines"), &origins)) {
     return 1;
   }
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   for (topo::Asn origin : origins) {
     if (!graph.HasAs(origin)) {
       std::fprintf(stderr, "error: --baselines origin AS%u not in topology\n",
