@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
                       "ASPP interception is transparent AND anomaly-free");
   e.WithTopologyFlags();
   e.Flags().DefineInt("lambda", 4, "victim prepend count");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   attack::SweepScenario scenario = attack::Tier1VsContent(topology);
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   e.Note("scenario: AS%u attacks AS%u's prefix (lambda=%d)\n",
          scenario.attacker, scenario.victim, lambda);
 

@@ -26,11 +26,11 @@ int main(int argc, char** argv) {
   e.Flags().DefineUint("victims", 6, "number of victims evaluated");
   e.Flags().DefineUint("heldout", 40, "held-out attacks per victim");
   e.Flags().DefineInt("lambda", 3, "victim prepend count");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   const std::size_t budget = e.Flags().GetUint("budget");
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   // Held-out attacks share each victim's attack-free baseline via the cache.
   attack::AttackSimulator simulator(topology.graph, e.Baseline());
   auto generic = detect::TopDegreeMonitors(topology.graph, budget);

@@ -235,6 +235,16 @@ bool Experiment::AsnFlag(const std::string& name, topo::Asn* out) const {
   return true;
 }
 
+bool Experiment::LambdaFlag(int* out) const {
+  const std::int64_t lambda = flags_.GetInt("lambda");
+  if (lambda < 1 || lambda > bgp::kMaxPads) {
+    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
+    return false;
+  }
+  *out = static_cast<int>(lambda);
+  return true;
+}
+
 util::ThreadPool* Experiment::Pool() {
   ASPPI_CHECK(has_threads_flag_) << "Pool() requires a --threads flag";
   if (!pool_) {

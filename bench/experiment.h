@@ -114,6 +114,11 @@ class Experiment {
   // error line and returns false; main() should return 1.
   bool AsnFlag(const std::string& name, topo::Asn* out) const;
 
+  // Reads --lambda, the victim's prepend count, which every engine takes in
+  // 1..bgp::kMaxPads. Out of range, prints the shared error line and returns
+  // false; main() should return 1.
+  bool LambdaFlag(int* out) const;
+
   // Thread pool sized by --threads (lazily built; requires a threads flag).
   // Outputs are bit-identical for any --threads value.
   util::ThreadPool* Pool();

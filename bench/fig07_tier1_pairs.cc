@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("attacker-model", "paper",
                          "attacker model: paper, stealth (strip to λ-1), or "
                          "search (beam-optimized program per pair)");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
   const auto model =
       strategy::ParseAttackerModel(e.Flags().GetString("attacker-model"));
   if (!model) {
@@ -41,7 +42,6 @@ int main(int argc, char** argv) {
   const auto deployment = e.DefenseDeployment(topology.graph, 0, 0);
   auto pairs = attack::SampleTier1Pairs(topology, e.Flags().GetUint("instances"),
                                         e.Flags().GetUint("seed") + 7);
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   // Two attacker-export models bracket the paper's result (see DESIGN.md):
   // the aggressive model re-announces the stripped route to peers too
   // (paper §VI-B language), the strict model keeps the attacker's own

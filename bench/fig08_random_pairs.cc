@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("attacker-model", "paper",
                          "attacker model: paper, stealth (strip to λ-1), or "
                          "search (beam-optimized program per pair)");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
   const auto model =
       strategy::ParseAttackerModel(e.Flags().GetString("attacker-model"));
   if (!model) {
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
   auto pairs = attack::SampleRandomPairs(topology, e.Flags().GetUint("instances"),
                                          e.Flags().GetUint("seed") + 8);
   attack::PairSweepOptions options;
-  options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  options.lambda = lambda;
   options.pool = e.Pool();
   options.filter = deployment.get();
   auto results =

@@ -22,14 +22,15 @@ int main(int argc, char** argv) {
   e.Flags().DefineInt("lambda", 3, "victim prepend count");
   e.Flags().DefineBool("victim_aware", false,
                        "give the detector the victim's own prepend policy");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   auto pairs = attack::SampleRandomPairs(topology, e.Flags().GetUint("instances"),
                                          e.Flags().GetUint("seed") + 13);
   attack::AttackSimulator simulator(topology.graph, e.Baseline());
   detect::DetectionConfig config;
-  config.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  config.lambda = lambda;
   config.victim_aware = e.Flags().GetBool("victim_aware");
 
   const std::vector<std::size_t> monitor_counts = {10,  30,  50,  70,

@@ -20,7 +20,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineUint("instances", 200, "number of attacker/victim pairs");
   e.Flags().DefineUint("monitors", 150, "number of top-degree monitors");
   e.Flags().DefineInt("lambda", 3, "victim prepend count");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const topo::GeneratedTopology& topology = e.GenerateTopology();
   auto pairs = attack::SampleRandomPairs(topology, e.Flags().GetUint("instances"),
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   auto monitors =
       detect::TopDegreeMonitors(topology.graph, e.Flags().GetUint("monitors"));
   detect::DetectionConfig config;
-  config.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  config.lambda = lambda;
 
   // Per-pair results land in input-index slots; the CDF below consumes them
   // in input order, so the figure is identical for any --threads value.

@@ -14,7 +14,7 @@
 //   * engines:  every reported outcome is checked against the Resume
 //               oracle (attack::DiffAgainstResume) and must match it
 //               bit-for-bit (fractions, pollution sets, best routes,
-//               Adj-RIB-In, sent flags, round counts) — the defense layer
+//               Adj-RIB-In, round counts) — the defense layer
 //               must not break the delta engine's equivalence with the full
 //               engine. Disable with --verify-engines=false.
 //   * monotone: within a strategy, mean pollution must not increase with the
@@ -57,12 +57,13 @@ int main(int argc, char** argv) {
   e.Flags().DefineBool("verify-engines", true,
                        "check every point against the Resume oracle and "
                        "require bit-identical attacked states");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const bool smoke = e.Flags().GetBool("smoke");
   topo::GeneratorParams params = e.Params();
   defense::DefenseSweepOptions options;
-  options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  options.lambda = lambda;
   options.num_pairs = static_cast<std::size_t>(e.Flags().GetUint("pairs"));
   options.fractions = {0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0};
   if (smoke) {

@@ -57,14 +57,15 @@ int main(int argc, char** argv) {
   e.Flags().DefineBool("verify-engines", false,
                        "check every scored program against the Resume "
                        "oracle and require bit-identical attacked states");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const bool smoke = e.Flags().GetBool("smoke");
   topo::GeneratorParams params = e.Params();
   std::size_t tier1_pairs = e.Flags().GetUint("tier1-pairs");
   std::size_t random_pairs = e.Flags().GetUint("random-pairs");
   strategy::SearchOptions options;
-  options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  options.lambda = lambda;
   options.beam_width = e.Flags().GetUint("beam");
   options.rounds = e.Flags().GetUint("rounds");
   options.max_neighbors = e.Flags().GetUint("max-neighbors");

@@ -67,10 +67,10 @@ class BaselineCache {
   }
 
   // Pre-seeds the entry for `baseline`'s announcement (snapshot warm-load:
-  // data/snapshot.cc restores checkpointed baselines straight into the
-  // cache), building its traversal index eagerly. A later lookup for the
-  // same announcement is a hit; Put over an existing entry is a no-op so a
-  // computed state is never replaced.
+  // the baselines data/snapshot.cc derives from its checkpoints go straight
+  // into the cache), building its traversal index eagerly. A later lookup for
+  // the same announcement is a hit; Put over an existing entry is a no-op so
+  // a computed state is never replaced.
   void Put(std::shared_ptr<const bgp::PropagationResult> baseline);
 
   // Number of memoized baselines. Hit/miss accounting lives in the metrics

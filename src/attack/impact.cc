@@ -33,12 +33,6 @@ double PollutionDenominator(const topo::AsGraph& graph,
   return n > excluded ? static_cast<double>(n - excluded) : 0.0;
 }
 
-std::string RenderRoute(const std::optional<bgp::Route>& route) {
-  if (!route.has_value()) return "<none>";
-  return util::Format("[%s] from AS%u", route->path.ToString().c_str(),
-                      static_cast<unsigned>(route->learned_from));
-}
-
 }  // namespace
 
 AttackSimulator::AttackSimulator(const topo::AsGraph& graph,
@@ -245,43 +239,13 @@ std::string DiffAgainstResume(const AttackOutcome& outcome,
       before, &transform, outcome.colluders, filter);
   const bgp::PropagationResult got = outcome.after.Materialize();
 
-  if (got.Rounds() != want.Rounds()) {
-    return util::Format("rounds: outcome %d, Resume %d", got.Rounds(),
-                        want.Rounds());
+  if (outcome.converged != want.Converged()) {
+    return util::Format("converged: outcome %d, Resume %d", outcome.converged,
+                        want.Converged());
   }
-  if (outcome.converged != want.Converged() ||
-      got.Converged() != want.Converged()) {
-    return util::Format("converged: outcome %d (state %d), Resume %d",
-                        outcome.converged, got.Converged(), want.Converged());
-  }
-  for (std::size_t index = 0; index < graph.NumAses(); ++index) {
-    const unsigned asn = graph.AsnAt(static_cast<std::uint32_t>(index));
-    if (got.BestRoutes()[index] != want.BestRoutes()[index]) {
-      return util::Format("AS%u best route: outcome %s, Resume %s", asn,
-                          RenderRoute(got.BestRoutes()[index]).c_str(),
-                          RenderRoute(want.BestRoutes()[index]).c_str());
-    }
-    if (got.FirstChangeRounds()[index] != want.FirstChangeRounds()[index]) {
-      return util::Format("AS%u change round: outcome %d, Resume %d", asn,
-                          got.FirstChangeRounds()[index],
-                          want.FirstChangeRounds()[index]);
-    }
-    const std::span<const topo::Edge> neighbors =
-        graph.NeighborsAt(static_cast<topo::AsId>(index));
-    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
-      const unsigned from = neighbors[slot].asn;
-      if (got.RibIn()[index][slot] != want.RibIn()[index][slot]) {
-        return util::Format(
-            "AS%u Adj-RIB-In slot for AS%u: outcome %s, Resume %s", asn, from,
-            RenderRoute(got.RibIn()[index][slot]).c_str(),
-            RenderRoute(want.RibIn()[index][slot]).c_str());
-      }
-      if (got.Sent()[index][slot] != want.Sent()[index][slot]) {
-        return util::Format("AS%u sent flag toward AS%u: outcome %d, Resume %d",
-                            asn, from, got.Sent()[index][slot],
-                            want.Sent()[index][slot]);
-      }
-    }
+  if (std::string diff = bgp::FirstDifference(got, want, "outcome", "Resume");
+      !diff.empty()) {
+    return diff;
   }
 
   // Pollution, re-derived from the two dense states with one any-colluder

@@ -137,9 +137,10 @@ class AttackSimulator {
 // The test oracle for every attacked state: re-runs the attack with
 // PropagationSimulator::Resume over `outcome.before` (the outcome's colluders
 // as the dirty set, `transform` and `filter` in effect), re-derives pollution
-// with one dense any-colluder scan, and compares bit for bit — round count,
-// `converged`, every best route, change round, Adj-RIB-In slot and sent flag,
-// both fractions and `newly_polluted`. Returns "" when the outcome matches,
+// with one dense any-colluder scan, and compares bit for bit — `converged`,
+// then the two states through bgp::FirstDifference (round count, every best
+// route, change round and Adj-RIB-In slot), both fractions and
+// `newly_polluted`. Returns "" when the outcome matches,
 // else one line naming the first difference. `transform` must be a fresh
 // instance equivalent to the one that produced `outcome` (transforms may
 // carry per-run state). O(n + E) plus a full-engine resume: for tests and

@@ -132,25 +132,21 @@ std::size_t DeltaResult::ReachableCount() const {
 }
 
 PropagationResult DeltaResult::Materialize() const {
-  std::vector<std::optional<Route>> best = base_->BestRoutes();
-  std::vector<int> first_change(best.size(), -1);
-  std::vector<std::vector<std::optional<Route>>> rib_in = base_->RibIn();
-  std::vector<std::vector<std::uint8_t>> sent = base_->Sent();
+  PropagationResult out = *base_;
+  out.rounds_ = rounds_;
+  out.converged_ = converged_;
+  std::fill(out.first_change_round_.begin(), out.first_change_round_.end(),
+            -1);
   for (std::size_t p = 0; p < touched_.size(); ++p) {
     const std::size_t i = touched_[p];
     const DeltaRow& row = rows_[p];
-    if (row.best_set) best[i] = row.best;
-    first_change[i] = row.first_change_round;
+    if (row.best_set) out.best_[i] = row.best;
+    out.first_change_round_[i] = row.first_change_round;
     for (std::uint32_t slot = 0;
          slot < static_cast<std::uint32_t>(row.rib.size()); ++slot) {
-      if (row.HasRibOverride(slot)) rib_in[i][slot] = row.rib[slot];
+      if (row.HasRibOverride(slot)) out.rib_in_[i][slot] = row.rib[slot];
     }
-    if (!row.sent.empty()) sent[i] = row.sent;
   }
-  PropagationResult out = PropagationResult::Restore(
-      Graph(), GetAnnouncement(), rounds_, std::move(best),
-      std::move(first_change), std::move(rib_in), std::move(sent));
-  out.converged_ = converged_;
   return out;
 }
 
@@ -201,12 +197,6 @@ struct DeltaPropagator::Work {
     }
     return base->RibIn()[index][slot];
   }
-  std::uint8_t SentAt(std::size_t index, std::uint32_t slot) const {
-    if (const DeltaRow* row = FindRow(index)) {
-      if (!row->sent.empty()) return row->sent[slot];
-    }
-    return base->Sent()[index][slot];
-  }
   void SetRib(std::size_t index, std::uint32_t slot,
               std::optional<Route> value) {
     DeltaRow& row = MutableRow(index);
@@ -217,14 +207,6 @@ struct DeltaPropagator::Work {
     }
     row.rib_mask[slot >> 6] |= std::uint64_t{1} << (slot & 63);
     row.rib[slot] = std::move(value);
-  }
-  void SetSent(std::size_t index, std::uint32_t slot, std::uint8_t value) {
-    DeltaRow& row = MutableRow(index);
-    if (row.sent.empty()) {
-      const auto& base_row = base->Sent()[index];
-      row.sent.assign(base_row.begin(), base_row.end());
-    }
-    row.sent[slot] = value;
   }
   void MarkDirty(std::size_t index) {
     if (!in_dirty[index]) {
@@ -370,59 +352,21 @@ void DeltaPropagator::ExportFromDelta(Work& work, std::size_t u,
   const Announcement& announcement = work.base->GetAnnouncement();
   const Asn u_asn = graph_.AsnAt(u);
   const bool is_origin = (u_asn == announcement.origin);
-  const auto neighbors = graph_.NeighborsAt(static_cast<topo::AsId>(u));
   // Safe as a reference: it aims into the immutable baseline or into a deque
   // row, and nothing below mutates any row's `best`.
   const std::optional<Route>& best = work.BestOfIdx(u);
 
-  for (std::uint32_t slot = 0; slot < neighbors.size(); ++slot) {
-    const Asn v_asn = neighbors[slot].asn;
-    const Relation v_rel = neighbors[slot].rel;
-    const topo::AsId v = neighbors[slot].id;
-    const std::uint32_t back_slot = neighbors[slot].back_slot;
-
-    engine_detail::WireExport wire = engine_detail::BuildExport(
-        announcement, u_asn, is_origin, best, v_asn, v_rel, transform);
-
-    if (wire.send) {
-      ++work.announced;
-      // Receiver-side loop detection, as in the full engine.
-      if (wire.path.Contains(v_asn)) {
-        if (work.RibAt(v, back_slot).has_value()) {
-          work.SetRib(v, back_slot, std::nullopt);
-          work.MarkDirty(v);
-        }
-        if (work.SentAt(u, slot) != 1) work.SetSent(u, slot, 1);
-        continue;
-      }
-      Route route = engine_detail::DeliverRoute(std::move(wire), u_asn, v_rel);
-      // Import policy (defense/), same kernel and same point as the full
-      // engine: a filtered route invalidates the slot like a looped one.
-      if (!engine_detail::AcceptDelivery(filter, v, v_asn, route,
-                                         announcement)) {
-        if (work.RibAt(v, back_slot).has_value()) {
-          work.SetRib(v, back_slot, std::nullopt);
-          work.MarkDirty(v);
-        }
-        if (work.SentAt(u, slot) != 1) work.SetSent(u, slot, 1);
-        continue;
-      }
-      const std::optional<Route>& current = work.RibAt(v, back_slot);
-      if (!current.has_value() || !(*current == route)) {
-        work.SetRib(v, back_slot, std::move(route));
-        work.MarkDirty(v);
-      }
-      if (work.SentAt(u, slot) != 1) work.SetSent(u, slot, 1);
-    } else {
-      if (work.SentAt(u, slot)) {
-        ++work.withdrawn;
-        work.SetSent(u, slot, 0);
-        if (work.RibAt(v, back_slot).has_value()) {
-          work.SetRib(v, back_slot, std::nullopt);
-          work.MarkDirty(v);
-        }
-      }
-    }
+  for (const topo::Edge& edge :
+       graph_.NeighborsAt(static_cast<topo::AsId>(u))) {
+    engine_detail::Delivery delivery = engine_detail::ExportTo(
+        announcement, u_asn, is_origin, best, edge, transform, filter);
+    if (delivery.sent) ++work.announced;
+    if (delivery.route == work.RibAt(edge.id, edge.back_slot)) continue;
+    // Same accounting as the full engine: clearing a held slot because
+    // nothing was sent is a withdrawal.
+    if (!delivery.sent) ++work.withdrawn;
+    work.SetRib(edge.id, edge.back_slot, std::move(delivery.route));
+    work.MarkDirty(edge.id);
   }
 }
 

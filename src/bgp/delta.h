@@ -13,10 +13,10 @@
 //   * worklists (export list / dirty list) instead of O(n) phase scans,
 //   * per-AS overlay rows created on first touch, addressed through an O(1)
 //     dense-index table (no hashing on the hot path),
-//   * inside a row, the Adj-RIB-In and sent vectors are copied from the
-//     baseline on the row's *first write* and then indexed directly — so
-//     per-slot access costs exactly what the full engine pays, and the only
-//     extra work over Resume() is copying the touched rows instead of all n.
+//   * inside a row, Adj-RIB-In slot overrides are sized to the degree on the
+//     row's *first write* and then indexed directly — so per-slot access
+//     costs exactly what the full engine pays, and the only extra work over
+//     Resume() is allocating the touched rows instead of copying all n.
 //
 // Equivalence: both engines build every wire-visible action from the shared
 // kernels in bgp::engine_detail (propagation.h), process worklists in the
@@ -87,9 +87,6 @@ struct DeltaRow {
   // Empty ⇒ no slot of this row ever changed.
   std::vector<std::uint64_t> rib_mask;
   std::vector<std::optional<Route>> rib;
-  // Sent flags, copied from the baseline on first write (a byte memcpy, too
-  // cheap to mask) and mutated in place. Empty ⇒ unchanged.
-  std::vector<std::uint8_t> sent;
 
   bool HasRibOverride(std::uint32_t slot) const {
     return !rib_mask.empty() &&
@@ -123,8 +120,8 @@ class DeltaResult {
   // --- delta-specific ------------------------------------------------------
   // Dense index variant (no hash lookup) for overlay-aware consumers.
   const std::optional<Route>& BestAtIndex(std::size_t index) const;
-  // Ascending dense indices of every AS the propagation touched (overlay
-  // rows exist exactly for these).
+  // Ascending dense indices of every AS whose best route or Adj-RIB-In the
+  // propagation changed (overlay rows exist exactly for these).
   const std::vector<std::uint32_t>& TouchedIndices() const { return touched_; }
   const DeltaRow& RowAt(std::size_t pos) const { return rows_[pos]; }
   const PropagationResult& Base() const { return *base_; }

@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/metrics.h"
+#include "util/strings.h"
 
 namespace asppi::bgp {
 
@@ -27,6 +28,12 @@ EngineMetrics& Instr() {
   return *m;
 }
 
+std::string RenderRoute(const std::optional<Route>& route) {
+  if (!route.has_value()) return "<none>";
+  return util::Format("[%s] from AS%u", route->path.ToString().c_str(),
+                      static_cast<unsigned>(route->learned_from));
+}
+
 }  // namespace
 
 namespace engine_detail {
@@ -35,25 +42,29 @@ WireExport BuildExport(const Announcement& announcement, Asn u_asn,
                        bool is_origin, const std::optional<Route>& best,
                        Asn v_asn, Relation v_rel, RouteTransform* transform) {
   WireExport out;
-  bool have_route = false;
-  if (is_origin) {
-    out.path =
-        AsPath::Origin(u_asn, announcement.prepends.PadsFor(u_asn, v_asn));
-    have_route = true;
-  } else if (best.has_value()) {
-    // Never send a route back through an AS already on it (sender-side loop
-    // avoidance; the receiver would discard it anyway).
-    if (!best->path.Contains(v_asn)) {
-      out.path = best->path;
-      out.path.Prepend(u_asn, announcement.prepends.PadsFor(u_asn, v_asn));
-      out.out_class = best->effective;
-      have_route = true;
-    }
+  // Never send a route back through an AS already on it (sender-side loop
+  // avoidance; the receiver would discard it anyway).
+  if (!is_origin && (!best.has_value() || best->path.Contains(v_asn))) {
+    return out;
   }
-  if (!have_route) return out;
-
+  if (!is_origin) out.out_class = best->effective;
   const bool policy_ok =
       is_origin ? MayExportOwn(v_rel) : MayExport(out.out_class, v_rel);
+  // Only a transform can send what the policy suppresses, so without one a
+  // suppressed export needs no path.
+  if (!policy_ok && transform == nullptr) return out;
+  const int pads = announcement.prepends.PadsFor(u_asn, v_asn);
+  if (is_origin) {
+    out.path = AsPath::Origin(u_asn, pads);
+  } else {
+    // The exporter's pads, then its path, in one allocation.
+    const std::vector<Asn>& tail = best->path.Hops();
+    std::vector<Asn> hops;
+    hops.reserve(static_cast<std::size_t>(pads) + tail.size());
+    hops.assign(static_cast<std::size_t>(pads), u_asn);
+    hops.insert(hops.end(), tail.begin(), tail.end());
+    out.path = AsPath(std::move(hops));
+  }
   ExportAction action = ExportAction::kDefault;
   if (transform != nullptr) {
     action = transform->OnExport(u_asn, v_asn, v_rel, out.out_class, out.path);
@@ -80,6 +91,25 @@ Route DeliverRoute(WireExport&& wire, Asn u_asn, Relation v_rel) {
   route.effective =
       (route.rel == Relation::kSibling) ? wire.out_class : route.rel;
   return route;
+}
+
+Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
+                  const std::optional<Route>& best, const topo::Edge& to,
+                  RouteTransform* transform, const ImportFilter* filter) {
+  Delivery out;
+  WireExport wire = BuildExport(announcement, u_asn, is_origin, best, to.asn,
+                                to.rel, transform);
+  out.sent = wire.send;
+  // Receiver-side loop detection: a path containing the receiver is
+  // discarded and invalidates any previous route from this neighbor.
+  if (!wire.send || wire.path.Contains(to.asn)) return out;
+  Route route = DeliverRoute(std::move(wire), u_asn, to.rel);
+  // Import policy (defense/): a filtered route behaves like a looped one —
+  // it crossed the wire but never enters the receiver's Adj-RIB-In.
+  if (AcceptDelivery(filter, to.id, to.asn, route, announcement)) {
+    out.route = std::move(route);
+  }
+  return out;
 }
 
 std::optional<Route> ChooseBest(Asn u_asn,
@@ -128,28 +158,109 @@ double PropagationResult::FractionTraversing(Asn x) const {
          static_cast<double>(n - 2);
 }
 
-PropagationResult PropagationResult::Restore(
-    const topo::AsGraph& graph, Announcement announcement, int rounds,
-    std::vector<std::optional<Route>> best, std::vector<int> first_change_round,
-    std::vector<std::vector<std::optional<Route>>> rib_in,
-    std::vector<std::vector<std::uint8_t>> sent) {
-  const std::size_t n = graph.NumAses();
-  ASPPI_CHECK(best.size() == n && first_change_round.size() == n &&
-              rib_in.size() == n && sent.size() == n)
-      << "checkpoint shape does not match the graph";
+PropagationResult::Checkpoint PropagationResult::ToCheckpoint() const {
+  ASPPI_CHECK(converged_) << "only a converged state is a best-route tree";
+  const std::size_t n = graph_->NumAses();
+  Checkpoint checkpoint;
+  checkpoint.rounds = rounds_;
+  checkpoint.parent_slots.assign(n, kNoParent);
+  checkpoint.first_change_rounds = first_change_round_;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t degree = graph.DegreeAt(static_cast<topo::AsId>(i));
-    ASPPI_CHECK(rib_in[i].size() == degree && sent[i].size() == degree)
-        << "checkpoint adjacency shape does not match the graph";
+    if (!best_[i].has_value()) continue;
+    const auto neighbors = graph_->NeighborsAt(static_cast<topo::AsId>(i));
+    const auto parent = std::find_if(
+        neighbors.begin(), neighbors.end(), [&](const topo::Edge& edge) {
+          return edge.asn == best_[i]->learned_from;
+        });
+    ASPPI_CHECK(parent != neighbors.end())
+        << "AS" << graph_->AsnAt(i) << " holds a route from a non-neighbor";
+    checkpoint.parent_slots[i] =
+        static_cast<std::uint32_t>(parent - neighbors.begin());
   }
+  return checkpoint;
+}
+
+std::optional<PropagationResult> PropagationResult::FromCheckpoint(
+    const topo::AsGraph& graph, Announcement announcement,
+    Checkpoint checkpoint, std::string* error) {
+  const std::size_t n = graph.NumAses();
+  const std::vector<std::uint32_t>& parent_slots = checkpoint.parent_slots;
+  const auto fail = [&](topo::AsId id, const std::string& why) {
+    *error = "AS" + std::to_string(graph.AsnAt(id)) + ": " + why;
+    return std::nullopt;
+  };
+  ASPPI_CHECK(parent_slots.size() == n &&
+              checkpoint.first_change_rounds.size() == n)
+      << "checkpoint arrays do not cover the graph";
+  if (!graph.HasAs(announcement.origin)) {
+    *error = "origin AS" + std::to_string(announcement.origin) +
+             " not in the graph";
+    return std::nullopt;
+  }
+  const topo::AsId origin = graph.IndexOf(announcement.origin);
+  for (topo::AsId i = 0; i < n; ++i) {
+    if (parent_slots[i] == kNoParent) continue;
+    if (i == origin) return fail(i, "the origin has a parent");
+    if (parent_slots[i] >= graph.DegreeAt(i)) {
+      return fail(i, "parent slot " + std::to_string(parent_slots[i]) +
+                         " outside its degree " +
+                         std::to_string(graph.DegreeAt(i)));
+    }
+  }
+
+  // Parents-first order: walk each AS's parent chain up to an AS already
+  // placed (or a root), then place the chain top-down. Meeting an AS of the
+  // chain being walked again closes a cycle.
+  enum : std::uint8_t { kUnplaced, kOnChain, kPlaced };
+  std::vector<std::uint8_t> mark(n, kUnplaced);
+  std::vector<topo::AsId> order;
+  order.reserve(n);
+  std::vector<topo::AsId> chain;
+  for (topo::AsId start = 0; start < n; ++start) {
+    for (topo::AsId at = start; mark[at] == kUnplaced;) {
+      mark[at] = kOnChain;
+      chain.push_back(at);
+      if (parent_slots[at] == kNoParent) break;
+      at = graph.NeighborsAt(at)[parent_slots[at]].id;
+      if (mark[at] == kOnChain) return fail(at, "parent links form a cycle");
+    }
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      mark[*it] = kPlaced;
+      order.push_back(*it);
+    }
+    chain.clear();
+  }
+
+  // One export pass in that order: an AS's parent has exported to it before
+  // its own turn, so its best route is already in its Adj-RIB-In.
   PropagationResult result;
   result.graph_ = &graph;
   result.announcement_ = std::move(announcement);
-  result.rounds_ = rounds;
-  result.best_ = std::move(best);
-  result.first_change_round_ = std::move(first_change_round);
-  result.rib_in_ = std::move(rib_in);
-  result.sent_ = std::move(sent);
+  result.rounds_ = checkpoint.rounds;
+  result.first_change_round_ = std::move(checkpoint.first_change_rounds);
+  result.best_.resize(n);
+  result.rib_in_.resize(n);
+  for (topo::AsId i = 0; i < n; ++i) {
+    result.rib_in_[i].resize(graph.DegreeAt(i));
+  }
+  for (topo::AsId u : order) {
+    if (parent_slots[u] != kNoParent) {
+      result.best_[u] = result.rib_in_[u][parent_slots[u]];
+      if (!result.best_[u].has_value()) {
+        return fail(u, "parent AS" +
+                           std::to_string(
+                               graph.NeighborsAt(u)[parent_slots[u]].asn) +
+                           " delivers it no route");
+      }
+    }
+    const Asn u_asn = graph.AsnAt(u);
+    for (const topo::Edge& edge : graph.NeighborsAt(u)) {
+      result.rib_in_[edge.id][edge.back_slot] =
+          engine_detail::ExportTo(result.announcement_, u_asn, u == origin,
+                                  result.best_[u], edge, nullptr, nullptr)
+              .route;
+    }
+  }
   return result;
 }
 
@@ -160,6 +271,48 @@ std::size_t PropagationResult::ReachableCount() const {
     if (best_[i]) ++count;
   }
   return count;
+}
+
+std::string FirstDifference(const PropagationResult& got,
+                            const PropagationResult& want,
+                            const char* got_name, const char* want_name) {
+  const topo::AsGraph& graph = want.Graph();
+  if (got.Rounds() != want.Rounds()) {
+    return util::Format("rounds: %s %d, %s %d", got_name, got.Rounds(),
+                        want_name, want.Rounds());
+  }
+  if (got.Converged() != want.Converged()) {
+    return util::Format("converged: %s %d, %s %d", got_name, got.Converged(),
+                        want_name, want.Converged());
+  }
+  if (got.Graph().NumAses() != graph.NumAses()) {
+    return util::Format("graph: %s %zu ASes, %s %zu", got_name,
+                        got.Graph().NumAses(), want_name, graph.NumAses());
+  }
+  for (topo::AsId i = 0; i < graph.NumAses(); ++i) {
+    const unsigned asn = graph.AsnAt(i);
+    if (got.BestRoutes()[i] != want.BestRoutes()[i]) {
+      return util::Format("AS%u best route: %s %s, %s %s", asn, got_name,
+                          RenderRoute(got.BestRoutes()[i]).c_str(), want_name,
+                          RenderRoute(want.BestRoutes()[i]).c_str());
+    }
+    if (got.FirstChangeRounds()[i] != want.FirstChangeRounds()[i]) {
+      return util::Format("AS%u change round: %s %d, %s %d", asn, got_name,
+                          got.FirstChangeRounds()[i], want_name,
+                          want.FirstChangeRounds()[i]);
+    }
+    const auto neighbors = graph.NeighborsAt(i);
+    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+      if (got.RibIn()[i][slot] != want.RibIn()[i][slot]) {
+        return util::Format("AS%u Adj-RIB-In slot for AS%u: %s %s, %s %s", asn,
+                            neighbors[slot].asn, got_name,
+                            RenderRoute(got.RibIn()[i][slot]).c_str(),
+                            want_name,
+                            RenderRoute(want.RibIn()[i][slot]).c_str());
+      }
+    }
+  }
+  return "";
 }
 
 PropagationSimulator::PropagationSimulator(const topo::AsGraph& graph)
@@ -177,11 +330,8 @@ PropagationResult PropagationSimulator::Run(const Announcement& announcement,
   state.best_.resize(n);
   state.first_change_round_.assign(n, -1);
   state.rib_in_.resize(n);
-  state.sent_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t degree = graph_.DegreeAt(static_cast<topo::AsId>(i));
-    state.rib_in_[i].resize(degree);
-    state.sent_[i].assign(degree, 0);
+    state.rib_in_[i].resize(graph_.DegreeAt(static_cast<topo::AsId>(i)));
   }
 
   std::vector<std::uint8_t> need_export(n, 0);
@@ -301,60 +451,20 @@ void PropagationSimulator::ExportFrom(PropagationResult& state, std::size_t u,
                                       std::vector<std::uint8_t>& dirty) const {
   const Asn u_asn = graph_.AsnAt(u);
   const bool is_origin = (u_asn == state.announcement_.origin);
-  const auto neighbors = graph_.NeighborsAt(static_cast<topo::AsId>(u));
   const std::optional<Route>& best = state.best_[u];
   std::uint64_t announced = 0, withdrawn = 0;
 
-  for (std::uint32_t slot = 0; slot < neighbors.size(); ++slot) {
-    const Asn v_asn = neighbors[slot].asn;
-    const Relation v_rel = neighbors[slot].rel;
-    const topo::AsId v = neighbors[slot].id;
-    const std::uint32_t back_slot = neighbors[slot].back_slot;
-
-    engine_detail::WireExport wire = engine_detail::BuildExport(
-        state.announcement_, u_asn, is_origin, best, v_asn, v_rel, transform);
-
-    auto& slot_route = state.rib_in_[v][back_slot];
-    if (wire.send) {
-      ++announced;
-      // Receiver-side loop detection: a path containing the receiver is
-      // discarded and invalidates any previous route from this neighbor.
-      if (wire.path.Contains(v_asn)) {
-        if (slot_route.has_value()) {
-          slot_route.reset();
-          dirty[v] = 1;
-        }
-        state.sent_[u][slot] = 1;
-        continue;
-      }
-      Route route = engine_detail::DeliverRoute(std::move(wire), u_asn, v_rel);
-      // Import policy (defense/): a filtered route behaves like a looped one —
-      // it crossed the wire but never enters the receiver's Adj-RIB-In.
-      if (!engine_detail::AcceptDelivery(filter, v, v_asn, route,
-                                         state.announcement_)) {
-        if (slot_route.has_value()) {
-          slot_route.reset();
-          dirty[v] = 1;
-        }
-        state.sent_[u][slot] = 1;
-        continue;
-      }
-      if (!slot_route.has_value() || !(*slot_route == route)) {
-        slot_route = std::move(route);
-        dirty[v] = 1;
-      }
-      state.sent_[u][slot] = 1;
-    } else {
-      // Withdraw if we previously advertised.
-      if (state.sent_[u][slot]) {
-        ++withdrawn;
-        state.sent_[u][slot] = 0;
-        if (slot_route.has_value()) {
-          slot_route.reset();
-          dirty[v] = 1;
-        }
-      }
-    }
+  for (const topo::Edge& edge :
+       graph_.NeighborsAt(static_cast<topo::AsId>(u))) {
+    engine_detail::Delivery delivery = engine_detail::ExportTo(
+        state.announcement_, u_asn, is_origin, best, edge, transform, filter);
+    if (delivery.sent) ++announced;
+    auto& slot_route = state.rib_in_[edge.id][edge.back_slot];
+    if (delivery.route == slot_route) continue;
+    // A held slot cleared because nothing was sent is a withdrawal.
+    if (!delivery.sent) ++withdrawn;
+    slot_route = std::move(delivery.route);
+    dirty[edge.id] = 1;
   }
   // One shard update per exporter, not per neighbor.
   if (announced != 0) Instr().announced.Add(announced);

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bgp/route.h"
@@ -58,7 +59,7 @@ namespace engine_detail {
 // One candidate export from `u_asn` to the neighbor (v_asn, v_rel):
 // `send == false` means nothing crosses the wire this round (either no route
 // to offer after sender-side loop avoidance, or policy/transform suppressed
-// it) — the caller withdraws if a previous advertisement is outstanding.
+// it) — a slot the receiver holds for this sender is then cleared.
 struct WireExport {
   bool send = false;
   AsPath path;
@@ -68,7 +69,8 @@ struct WireExport {
 // Builds the export exactly as ExportFrom always has: the origin announces
 // its own prefix (ranked like a customer route), everyone else re-exports
 // its best route with its own prepends applied, and the transform's OnExport
-// hook may rewrite the path or force/suppress the send.
+// hook may rewrite the path or force/suppress the send. `path` is only
+// meaningful when `send` is set.
 WireExport BuildExport(const Announcement& announcement, Asn u_asn,
                        bool is_origin, const std::optional<Route>& best,
                        Asn v_asn, Relation v_rel, RouteTransform* transform);
@@ -81,12 +83,26 @@ Route DeliverRoute(WireExport&& wire, Asn u_asn, Relation v_rel);
 // delivered `route` pass `filter`? Evaluated by BOTH engines at the same
 // point — after the receiver-side loop check, before the Adj-RIB-In write —
 // so defended runs stay bit-identical across engines. A rejected delivery
-// mirrors the loop-check branch: the wire crossed (sender keeps its
-// advertisement outstanding), the receiver's slot is invalidated. Null filter
-// accepts everything; MightFilter narrows the per-delivery cost to deployed
-// receivers.
+// mirrors the loop-check branch: the wire crossed, the receiver's slot is
+// invalidated. Null filter accepts everything; MightFilter narrows the
+// per-delivery cost to deployed receivers.
 bool AcceptDelivery(const ImportFilter* filter, topo::AsId v, Asn v_asn,
                     const Route& route, const Announcement& announcement);
+
+// One export from `u_asn` over the edge `to`, as every consumer of an export
+// sees it: BuildExport, the receiver-side loop check, DeliverRoute and
+// AcceptDelivery in that order. `route` is what the receiver's Adj-RIB-In
+// slot for `u` holds afterwards — nullopt when nothing is sent, the receiver
+// finds itself on the path, or `filter` rejects the route. A slot is only
+// ever written from this value, so "slot held" implies "a route was sent",
+// and a withdrawal is just the clearing of a held slot.
+struct Delivery {
+  bool sent = false;  // something crossed the wire (routes_announced)
+  std::optional<Route> route;
+};
+Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
+                  const std::optional<Route>& best, const topo::Edge& to,
+                  RouteTransform* transform, const ImportFilter* filter);
 
 // The decision process over a contiguous Adj-RIB-In, including the
 // transform's OverrideBest hook (consulted only where MightOverride allows).
@@ -129,11 +145,8 @@ class PropagationResult {
   const Announcement& GetAnnouncement() const { return announcement_; }
   const topo::AsGraph& Graph() const { return *graph_; }
 
-  // --- checkpoint access (data/snapshot.cc) -------------------------------
-  // The full converged state, exposed so a snapshot can persist it and
-  // Restore() can rebuild a result that Resume() continues from
-  // bit-identically to the original. All vectors are indexed by the graph's
-  // dense AS index; rib_in/sent are indexed [as][adjacency slot].
+  // --- dense state ----------------------------------------------------------
+  // Indexed by the graph's dense AS index; RibIn() by [as][adjacency slot].
   const std::vector<std::optional<Route>>& BestRoutes() const { return best_; }
   const std::vector<int>& FirstChangeRounds() const {
     return first_change_round_;
@@ -141,15 +154,37 @@ class PropagationResult {
   const std::vector<std::vector<std::optional<Route>>>& RibIn() const {
     return rib_in_;
   }
-  const std::vector<std::vector<std::uint8_t>>& Sent() const { return sent_; }
 
-  // Rebuilds a result from checkpointed state. Aborts if the vector shapes
-  // do not match `graph` (snapshot loaders validate sizes first).
-  static PropagationResult Restore(
-      const topo::AsGraph& graph, Announcement announcement, int rounds,
-      std::vector<std::optional<Route>> best, std::vector<int> first_change_round,
-      std::vector<std::vector<std::optional<Route>>> rib_in,
-      std::vector<std::vector<std::uint8_t>> sent);
+  // --- checkpoints (data/snapshot.cc) --------------------------------------
+  // A converged attack-free state is a best-route tree (paper §IV-B, Fig. 2):
+  // every AS's best route is what one neighbor's best route exports to it,
+  // and every Adj-RIB-In slot is what that neighbor exports now. So a
+  // checkpoint stores, per AS, only the adjacency slot of the neighbor its
+  // best route came from and its first change round — 8 bytes per AS.
+  static constexpr std::uint32_t kNoParent = 0xFFFFFFFF;
+  struct Checkpoint {
+    int rounds = 0;
+    // parent_slots[as]: position of the best route's neighbor in the AS's
+    // own adjacency row; kNoParent for no route (and always for the origin).
+    std::vector<std::uint32_t> parent_slots;
+    std::vector<int> first_change_rounds;
+  };
+  // Only for an attack-free, filterless, converged state — what
+  // Run(announcement) and attack::BaselineCache produce. Aborts on a state
+  // that did not converge or whose best route names a non-neighbor.
+  Checkpoint ToCheckpoint() const;
+  // Rebuilds the state a checkpoint came from: best routes parents-first,
+  // each the ExportTo delivery from its parent, with every Adj-RIB-In slot
+  // filled in the same export pass — the kernels Run() uses, so the result
+  // is bit-identical to the converged original. Both arrays must hold
+  // graph.NumAses() entries (aborts otherwise). Returns nullopt and sets
+  // `*error` when the origin is not in the graph, or ("AS<asn>: ...") a
+  // parent slot is outside its AS's degree, the origin has a parent, the
+  // parent links form a cycle, or a parent delivers its child no route. It
+  // does not prove the tree is the fixpoint.
+  static std::optional<PropagationResult> FromCheckpoint(
+      const topo::AsGraph& graph, Announcement announcement,
+      Checkpoint checkpoint, std::string* error);
 
   // ASes (other than `x` and the origin) whose best path traverses AS `x`.
   std::vector<Asn> AsesTraversing(Asn x) const;
@@ -161,7 +196,7 @@ class PropagationResult {
 
  private:
   friend class PropagationSimulator;
-  friend class DeltaResult;  // Materialize() stamps converged_
+  friend class DeltaResult;  // Materialize() overlays its rows
 
   const topo::AsGraph* graph_ = nullptr;
   Announcement announcement_;
@@ -173,10 +208,16 @@ class PropagationResult {
   // Full Adj-RIB-In: rib_in_[as][slot] is the route last received from the
   // neighbor at `slot` of that AS's adjacency list.
   std::vector<std::vector<std::optional<Route>>> rib_in_;
-  // sent_[as][slot]: does `as` currently have an active advertisement to the
-  // neighbor at `slot`?
-  std::vector<std::vector<std::uint8_t>> sent_;
 };
+
+// The first difference between two states over graphs with the same dense
+// order, as one line naming it ("AS7 best route: snapshot [..] from AS3,
+// converged <none>"), or "" when the round counts, convergence flags, best
+// routes, change rounds and every Adj-RIB-In slot agree bit for bit.
+// `got_name` and `want_name` label the two sides.
+std::string FirstDifference(const PropagationResult& got,
+                            const PropagationResult& want,
+                            const char* got_name, const char* want_name);
 
 class PropagationSimulator {
  public:

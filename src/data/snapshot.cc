@@ -49,9 +49,6 @@ constexpr std::size_t kCsrHeaderSize = 8 + 8 + 8 + 4 + 1 + 1 + 2;
 static_assert(kCsrHeaderSize % 8 == 0,
               "CSR arrays must start 8-aligned after the section header");
 constexpr std::size_t AlignUp8(std::size_t x) { return (x + 7) & ~std::size_t{7}; }
-// Relations are stored as their enum byte; anything above kSibling is
-// corruption the CRC missed (or a crafted file) and must not reach a cast.
-constexpr std::uint8_t kMaxRelationByte = 3;
 // Defense tags are a defense::PolicyKind bit mask; bits above kAllPolicies
 // (rov | pathval | detector = 7) only exist in corrupted or future files,
 // and future files bump the snapshot version.
@@ -135,39 +132,7 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-// --- route / policy / state encodings --------------------------------------
-
-void WriteRoute(ByteWriter& w, const bgp::Route& route) {
-  w.U32(static_cast<std::uint32_t>(route.path.Hops().size()));
-  for (topo::Asn hop : route.path.Hops()) w.U32(hop);
-  w.U32(route.learned_from);
-  w.U8(static_cast<std::uint8_t>(route.rel));
-  w.U8(static_cast<std::uint8_t>(route.effective));
-}
-
-std::string ReadRoute(ByteReader& r, bgp::Route* route) {
-  std::uint32_t len;
-  if (!r.U32(&len)) return "truncated hop count";
-  // Checked before sizing the path, so a corrupt count can never allocate
-  // more than the section holds.
-  if (len > r.Remaining() / 4) {
-    return "hop count " + std::to_string(len) + " overruns the section (" +
-           std::to_string(r.Remaining()) + " bytes left)";
-  }
-  std::vector<topo::Asn> hops(len);
-  for (std::uint32_t i = 0; i < len; ++i) r.U32(&hops[i]);
-  route->path = bgp::AsPath(std::move(hops));
-  std::uint8_t rel, effective;
-  if (!r.U32(&route->learned_from) || !r.U8(&rel) || !r.U8(&effective)) {
-    return "truncated route";
-  }
-  if (rel > kMaxRelationByte || effective > kMaxRelationByte) {
-    return "invalid relation code";
-  }
-  route->rel = static_cast<topo::Relation>(rel);
-  route->effective = static_cast<topo::Relation>(effective);
-  return "";
-}
+// --- policy / baseline encodings --------------------------------------------
 
 // Pads outside 1..kMaxPads are neither written nor read: PrependPolicy's
 // setters abort on pads < 1, and the protocol and the flags that feed a
@@ -339,32 +304,19 @@ std::string ParseCsrSection(const unsigned char* base, std::size_t size,
   return "";
 }
 
-// One checkpointed baseline: the announcement plus the full converged state.
-// Each Adj-RIB-In and sent entry carries its neighbor's ASN. The graph it
-// restores into comes from the same file's kCsrGraph section, slot order
-// intact, so the key only double-checks the position: the loader resolves it
-// back to a slot and rejects an entry that names a non-neighbor.
-void WriteBaseline(ByteWriter& w, const topo::AsGraph& graph,
-                   const bgp::PropagationResult& state) {
+// One checkpointed baseline (bgp::PropagationResult::Checkpoint): the
+// announcement, the round count, then per AS in dense order its parent slot
+// (u32) and its first change round (i32). The graph it derives over is the
+// same file's kCsrGraph section, slot order intact.
+std::string WriteBaseline(ByteWriter& w, const bgp::PropagationResult& state) {
+  if (!state.Converged()) return "not a converged state";
+  const bgp::PropagationResult::Checkpoint checkpoint = state.ToCheckpoint();
   w.U32(state.GetAnnouncement().origin);
   WritePolicy(w, state.GetAnnouncement().prepends);
-  w.I32(state.Rounds());
-  const std::size_t n = graph.NumAses();
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& best = state.BestRoutes()[i];
-    w.U8(best.has_value() ? 1 : 0);
-    if (best.has_value()) WriteRoute(w, *best);
-    w.I32(state.FirstChangeRounds()[i]);
-    const auto neighbors = graph.NeighborsOf(graph.AsnAt(i));
-    w.U32(static_cast<std::uint32_t>(neighbors.size()));
-    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
-      w.U32(neighbors[slot].asn);
-      w.U8(state.Sent()[i][slot]);
-      const auto& route = state.RibIn()[i][slot];
-      w.U8(route.has_value() ? 1 : 0);
-      if (route.has_value()) WriteRoute(w, *route);
-    }
-  }
+  w.I32(checkpoint.rounds);
+  for (std::uint32_t slot : checkpoint.parent_slots) w.U32(slot);
+  for (int round : checkpoint.first_change_rounds) w.I32(round);
+  return "";
 }
 
 std::string ReadBaseline(
@@ -372,68 +324,28 @@ std::string ReadBaseline(
     std::shared_ptr<const bgp::PropagationResult>* out) {
   bgp::Announcement announcement;
   if (!r.U32(&announcement.origin)) return "truncated origin";
-  if (!graph.HasAs(announcement.origin)) return "unknown origin AS";
   if (std::string err = ReadPolicy(r, &announcement.prepends); !err.empty()) {
     return "policy: " + err;
   }
-  std::int32_t rounds;
-  if (!r.I32(&rounds)) return "truncated round count";
-
+  bgp::PropagationResult::Checkpoint checkpoint;
+  if (!r.I32(&checkpoint.rounds)) return "truncated round count";
+  // Both arrays are checked against the section before either is sized.
   const std::size_t n = graph.NumAses();
-  std::vector<std::optional<bgp::Route>> best(n);
-  std::vector<int> first_change(n);
-  std::vector<std::vector<std::optional<bgp::Route>>> rib_in(n);
-  std::vector<std::vector<std::uint8_t>> sent(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint8_t has_best;
-    if (!r.U8(&has_best)) return "truncated best route";
-    if (has_best != 0) {
-      bgp::Route route;
-      if (std::string err = ReadRoute(r, &route); !err.empty()) {
-        return "best route: " + err;
-      }
-      best[i] = std::move(route);
-    }
-    std::int32_t round;
-    if (!r.I32(&round)) return "truncated change round";
-    first_change[i] = round;
-
-    const topo::Asn asn = graph.AsnAt(i);
-    const auto neighbors = graph.NeighborsOf(asn);
-    std::uint32_t num_slots;
-    if (!r.U32(&num_slots)) return "truncated slot count";
-    if (num_slots != neighbors.size()) return "slot count mismatch";
-    rib_in[i].resize(neighbors.size());
-    sent[i].assign(neighbors.size(), 0);
-    for (std::uint32_t k = 0; k < num_slots; ++k) {
-      std::uint32_t neighbor;
-      std::uint8_t sent_flag, has_route;
-      if (!r.U32(&neighbor) || !r.U8(&sent_flag) || !r.U8(&has_route)) {
-        return "truncated RIB entry";
-      }
-      // Resolve the neighbor to this graph's slot.
-      std::size_t slot = neighbors.size();
-      for (std::size_t s = 0; s < neighbors.size(); ++s) {
-        if (neighbors[s].asn == neighbor) {
-          slot = s;
-          break;
-        }
-      }
-      if (slot == neighbors.size()) return "RIB entry for non-neighbor";
-      sent[i][slot] = sent_flag != 0 ? 1 : 0;
-      if (has_route != 0) {
-        bgp::Route route;
-        if (std::string err = ReadRoute(r, &route); !err.empty()) {
-          return "RIB route: " + err;
-        }
-        rib_in[i][slot] = std::move(route);
-      }
-    }
+  if (r.Remaining() / 8 < n) {
+    return "truncated: " + std::to_string(n) + " ASes need " +
+           std::to_string(8 * n) + " bytes, the section has " +
+           std::to_string(r.Remaining()) + " left";
   }
-  *out = std::make_shared<const bgp::PropagationResult>(
-      bgp::PropagationResult::Restore(graph, std::move(announcement), rounds,
-                                      std::move(best), std::move(first_change),
-                                      std::move(rib_in), std::move(sent)));
+  checkpoint.parent_slots.resize(n);
+  checkpoint.first_change_rounds.resize(n);
+  for (std::uint32_t& slot : checkpoint.parent_slots) r.U32(&slot);
+  for (int& round : checkpoint.first_change_rounds) r.I32(&round);
+  std::string err;
+  std::optional<bgp::PropagationResult> state =
+      bgp::PropagationResult::FromCheckpoint(graph, std::move(announcement),
+                                             std::move(checkpoint), &err);
+  if (!state.has_value()) return err;
+  *out = std::make_shared<const bgp::PropagationResult>(std::move(*state));
   return "";
 }
 
@@ -511,7 +423,10 @@ std::string WriteSnapshotFile(
         !err.empty()) {
       return "baseline " + std::to_string(i) + " policy: " + err;
     }
-    WriteBaseline(baseline_section, graph, *baseline);
+    if (std::string err = WriteBaseline(baseline_section, *baseline);
+        !err.empty()) {
+      return "baseline " + std::to_string(i) + ": " + err;
+    }
   }
 
   ByteWriter defense_section;

@@ -6,9 +6,10 @@
 // victim's baseline on each invocation; the serve subsystem (and the
 // --snapshot fast path of the batch tools) loads this format instead — fixed
 // width binary records read straight out of an mmap'ed region, no line
-// splitting, no strtol, and optionally no propagation at all when the
-// snapshot carries checkpointed baselines (restored via
-// bgp::PropagationResult::Restore and pre-seeded into attack::BaselineCache).
+// splitting, no strtol, and optionally no convergence at all when the
+// snapshot carries checkpointed baselines (rebuilt by
+// bgp::PropagationResult::FromCheckpoint and pre-seeded into
+// attack::BaselineCache).
 //
 // Layout (all integers little-endian, byte-packed):
 //
@@ -19,7 +20,14 @@
 // Section types:
 //   kInfo     (1): creator string + entity counts (printed by --info)
 //   kPolicy   (3): PrependPolicy defaults + per-neighbor overrides
-//   kBaselines(4): checkpointed converged PropagationResults
+//   kBaselines(4): u64 count, then per baseline: u32 origin | its
+//                  PrependPolicy (kPolicy's encoding) | i32 rounds |
+//                  n × u32 parent slots | n × i32 first change rounds, in
+//                  dense AS order. A parent slot is the position, in the AS's
+//                  own adjacency row, of the neighbor its best route came
+//                  from (0xFFFFFFFF: no route, and always for the origin) —
+//                  a converged baseline is a best-route tree, so every route
+//                  and Adj-RIB-In slot is derived from it at load.
 //   kCsrGraph (5): the frozen AsGraph's CSR arrays verbatim, every array
 //                  8-byte aligned relative to the file start. Loading is
 //                  zero-copy: the graph's spans alias the mmap'ed region
@@ -35,19 +43,21 @@
 //                  keeping undefended snapshots byte-identical to pre-kDefense
 //                  writers. Loaders that predate the section ignore it.
 //
-// Loading validates the magic, version (only kSnapshotVersion loads), declared
-// file size, section bounds, that no section type repeats, and each section's
-// CRC32 before touching its payload; a truncated file, flipped bit, or
-// version skew yields a clean error string, never UB. Payloads are then held
-// to what the writer emits even behind a valid CRC: the CSR section passes
-// AsGraph::FromCsr's structural validation (extents, id ranges, back slots,
-// grouping, interning table, ranks), every pad count lies in
-// 1..bgp::kMaxPads, and no length read from the file sizes an allocation
-// before the section is known to hold that many bytes — so a crafted file
-// cannot smuggle an out-of-bounds index, an aborting pad count or an
-// oversized allocation into the engines. The graph a Snapshot owns lives on
-// the heap so restored baselines (which hold a pointer to it) survive moves
-// of the Snapshot.
+// Loading validates the magic, version (only kSnapshotVersion loads; v1 and
+// v2 files are version skew), declared file size, section bounds, that no
+// section type repeats, and each section's CRC32 before touching its
+// payload; a truncated file, flipped bit, or version skew yields a clean
+// error string, never UB. Payloads are then held to what the writer emits
+// even behind a valid CRC: the CSR section passes AsGraph::FromCsr's
+// structural validation (extents, id ranges, back slots, grouping,
+// interning table, ranks), every pad count lies in 1..bgp::kMaxPads, a
+// baseline record's 8n bytes are present before its arrays are sized, and
+// PropagationResult::FromCheckpoint rejects a parent slot outside its AS's
+// degree, an origin with a parent, a parent cycle, and a parent that
+// delivers its child no route — so a crafted file cannot smuggle an
+// out-of-bounds index, an aborting pad count or an oversized allocation
+// into the engines. The graph a Snapshot owns lives on the heap so loaded
+// baselines (which hold a pointer to it) survive moves of the Snapshot.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +72,7 @@ namespace asppi::data {
 
 inline constexpr char kSnapshotMagic[8] = {'A', 'S', 'P', 'P',
                                            'I', 'S', 'N', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 struct SnapshotInfo {
   std::uint32_t version = kSnapshotVersion;
@@ -75,14 +85,16 @@ struct SnapshotInfo {
   std::uint64_t num_defense_tagged = 0;
 };
 
-// Compiles `graph` + `policy` (+ optional checkpointed `baselines`, each of
-// which must have been produced over `graph`) into `path`. `creator`
-// identifies the producing tool in the info section. `defense_tags`, when
-// non-empty, must hold exactly graph.NumAses() per-AsId policy-tag bytes
-// (defense::PolicySet::RawTags) and becomes the kDefense section. Every pad
-// count in `policy` and in each baseline's announcement must lie in
-// 1..bgp::kMaxPads, the range Load accepts. Returns "" on success, else an
-// error message.
+// Compiles `graph` + `policy` (+ optional checkpointed `baselines`) into
+// `path`. Each baseline must be an attack-free, filterless, converged state
+// over `graph` — what PropagationSimulator::Run(announcement) and
+// attack::BaselineCache produce — since only its best-route tree is stored.
+// `creator` identifies the producing tool in the info section.
+// `defense_tags`, when non-empty, must hold exactly graph.NumAses() per-AsId
+// policy-tag bytes (defense::PolicySet::RawTags) and becomes the kDefense
+// section. Every pad count in `policy` and in each baseline's announcement
+// must lie in 1..bgp::kMaxPads, the range Load accepts. Returns "" on
+// success, else an error message.
 std::string WriteSnapshotFile(
     const std::string& path, const topo::AsGraph& graph,
     const bgp::PrependPolicy& policy,
@@ -91,7 +103,7 @@ std::string WriteSnapshotFile(
     const std::string& creator,
     const std::vector<std::uint8_t>& defense_tags = {});
 
-// A loaded snapshot: owns the graph, the policy, and the restored baselines.
+// A loaded snapshot: owns the graph, the policy, and the derived baselines.
 class Snapshot {
  public:
   Snapshot();

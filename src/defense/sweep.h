@@ -47,8 +47,8 @@ struct DefenseSweepOptions {
   attack::BaselineCache* baseline_cache = nullptr;
   // Check every reported outcome against the Resume oracle
   // (attack::DiffAgainstResume): the attacked state must match the full
-  // engine bit for bit (round count, best routes, change rounds, Adj-RIB-In,
-  // sent flags) and so must the fractions and pollution set. Costs one extra
+  // engine bit for bit (round count, best routes, change rounds, Adj-RIB-In)
+  // and so must the fractions and pollution set. Costs one extra
   // full-engine resume per task. The in-bench equivalence gate of
   // fig_defense_sweep.
   bool verify_engines = false;

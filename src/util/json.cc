@@ -225,8 +225,19 @@ class Parser {
     SkipSpace();
     if (pos_ >= text_.size()) return Fail("expected a value, got end of input");
     switch (text_[pos_]) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        // The parser recurses once per nesting level; capping the depth keeps
+        // hostile input from overflowing a pool thread's stack.
+        if (depth_ == Json::kMaxDepth) {
+          return Fail("nesting deeper than " +
+                      std::to_string(Json::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        auto value = text_[pos_] == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': {
         auto s = ParseString();
         if (!s) return std::nullopt;
@@ -370,6 +381,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects currently open
   std::string error_;
 };
 

@@ -57,7 +57,9 @@ class Json {
   // Strict parse of a complete JSON text (trailing garbage is an error).
   // On failure the optional is empty and, if `error` is non-null, it receives
   // a line/column-numbered message ("line 3, column 14: expected ':' after
-  // object key") pointing at the first offending character.
+  // object key") pointing at the first offending character. Arrays and
+  // objects nest at most kMaxDepth levels; deeper input is an error.
+  static constexpr int kMaxDepth = 64;
   static std::optional<Json> Parse(std::string_view text);
   static std::optional<Json> Parse(std::string_view text, std::string* error);
 

@@ -4,7 +4,7 @@
 // The contract under test is absolute: DeltaPropagator::Propagate over a
 // converged baseline must be *bit-identical* to PropagationSimulator::Resume
 // with the same inputs — best routes, first-change rounds, every Adj-RIB-In
-// slot, every sent flag, and the round count. The fixtures here cover the
+// slot, and the round count. The fixtures here cover the
 // canonical topology shapes, generated Internet-like graphs, every attacker
 // mode (valley-free-following and -violating, peer-export on and off), and
 // a full pair sweep pinned at every λ against the Resume oracle
@@ -57,10 +57,10 @@ attack::AsppInterceptor MakeInterceptor(Asn attacker, Asn victim,
   return attack::AsppInterceptor(config);
 }
 
-// Bit-for-bit comparison of two converged states via the checkpoint
-// accessors: best routes, change rounds, the complete Adj-RIB-In, the sent
-// flags, and the round count. Route::operator== is defaulted memberwise, so
-// any divergence (path bytes, relation class, learned_from) trips here.
+// Bit-for-bit comparison of two converged states via the dense-state
+// accessors: best routes, change rounds, the complete Adj-RIB-In, and the
+// round count. Route::operator== is defaulted memberwise, so any divergence
+// (path bytes, relation class, learned_from) trips here.
 void ExpectStatesIdentical(const PropagationResult& full,
                            const PropagationResult& delta,
                            const std::string& context) {
@@ -69,7 +69,6 @@ void ExpectStatesIdentical(const PropagationResult& full,
   EXPECT_EQ(full.BestRoutes(), delta.BestRoutes());
   EXPECT_EQ(full.FirstChangeRounds(), delta.FirstChangeRounds());
   EXPECT_EQ(full.RibIn(), delta.RibIn());
-  EXPECT_EQ(full.Sent(), delta.Sent());
 }
 
 // Runs one interception through both engines directly (no AttackSimulator)
@@ -123,7 +122,7 @@ TEST(DeltaEquivalence, ValleyTopologyWithWithdrawals) {
   // The shape from propagation_test's valley-free cases: peers at the top,
   // customers below. Attacks here force best-route flips that retract
   // previously-exported routes, exercising the delta engine's withdrawal
-  // path (sent-flag overlay + slot clearing).
+  // path (clearing a held slot the sender no longer exports to).
   topo::GraphBuilder b;
   b.AddLink(3, 2, Relation::kCustomer);
   b.AddLink(2, 1, Relation::kCustomer);

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,6 +60,26 @@ TEST(Experiment, UnknownFlagIsARejectedParse) {
   std::vector<std::string> args = {"experiment_test", "--tier3=60"};
   auto argv = Argv(args);
   EXPECT_FALSE(e.ParseFlags(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(Experiment, LambdaFlagAcceptsOnlyOneThroughMaxPads) {
+  // Every --lambda reaches engines that abort below one pad, so the one
+  // shared check rejects 0 (and anything past kMaxPads) before they run.
+  const auto lambda_of = [](const std::string& value) -> std::optional<int> {
+    bench::Experiment e("test", "caption");
+    e.Flags().DefineInt("lambda", 4, "victim prepend count");
+    std::vector<std::string> args = {"experiment_test", "--lambda=" + value};
+    auto argv = Argv(args);
+    EXPECT_TRUE(e.ParseFlags(static_cast<int>(argv.size()), argv.data()));
+    int lambda = 0;
+    if (!e.LambdaFlag(&lambda)) return std::nullopt;
+    return lambda;
+  };
+  EXPECT_EQ(lambda_of("1"), 1);
+  EXPECT_EQ(lambda_of("64"), 64);
+  EXPECT_EQ(lambda_of("0"), std::nullopt);
+  EXPECT_EQ(lambda_of("-3"), std::nullopt);
+  EXPECT_EQ(lambda_of("65"), std::nullopt);
 }
 
 // The fig09-style sweep through Experiment must be bit-identical to the same

@@ -2,7 +2,7 @@
 // corruption it claims to cover. Each case runs a real attack, checks that
 // the honest outcome passes, then corrupts one field of a copy at a time —
 // a fraction, newly_polluted, converged, one best route, one change round,
-// one Adj-RIB-In slot, one sent flag, the round count — and requires a
+// one Adj-RIB-In slot, the round count — and requires a
 // difference line naming that field. Three attack shapes: a single attacker,
 // a defended attack under a defense::PolicySet, and a two-colluder
 // strategy::AttackerProgram (the any-colluder pollution path).
@@ -100,14 +100,6 @@ std::vector<Corruption> AllCorruptions() {
              row.HasRibOverride(0) ? row.rib[0] : base_rib[0];
          row.rib_mask[0] |= 1;
          row.rib[0] = Flipped(now);
-       }},
-      {"sent flag",
-       [](AttackOutcome& o) {
-         std::size_t index = 0;
-         DeltaRow& row = DeltaResultTestPeer::FirstRow(o.after, &index);
-         if (row.sent.empty()) row.sent = o.before->Sent()[index];
-         ASSERT_FALSE(row.sent.empty());
-         row.sent[0] ^= 1;
        }},
       {"rounds",
        [](AttackOutcome& o) { ++DeltaResultTestPeer::Rounds(o.after); }},

@@ -211,6 +211,24 @@ TEST_F(ReactorTest, AnswersAllOpsOverTcp) {
   server.Stop();
 }
 
+TEST_F(ReactorTest, DeeplyNestedLineIsAnErrorNotACrash) {
+  // 65,000 '[' fit under the 64 KiB line cap, so the whole line reaches the
+  // JSON parser on a pool thread; its nesting cap answers an error, and the
+  // same server keeps answering.
+  QueryService service(gen_.graph, {});
+  EpochManager epochs;
+  epochs.Install(MakeUnownedEpoch(&service, 1));
+  ReactorServer server(&epochs, &pool_);
+  ASSERT_EQ(server.Start(), "");
+  Client client(server.Port());
+  ASSERT_TRUE(client.Connected());
+  const std::string nested = client.RoundTrip(std::string(65000, '['));
+  EXPECT_FALSE(MustParse(nested).Find("ok")->AsBool()) << nested;
+  EXPECT_TRUE(
+      MustParse(client.RoundTrip(R"({"op":"health"})")).Find("ok")->AsBool());
+  server.Stop();
+}
+
 TEST_F(ReactorTest, PipelinedRequestsAnswerInOrder) {
   QueryService service(gen_.graph, {});
   EpochManager epochs;

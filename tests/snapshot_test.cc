@@ -1,11 +1,13 @@
 // Binary snapshot format: round-trip fidelity (graph, policy, checkpointed
-// baselines), warm-start equivalence through attack::BaselineCache, and the
-// corruption contract — a truncated file, flipped bit, wrong magic, version
-// skew, repeated section, or a CRC-repaired out-of-range pad count or hop
-// count yields a clean error string, never UB, an abort or an oversized
-// allocation.
+// baselines — stored as parent slots, derived back at load — at small and
+// internet2026 scale), warm-start equivalence through attack::BaselineCache,
+// and the corruption contract — a truncated file, flipped bit, wrong magic,
+// version skew, repeated section, a CRC-repaired out-of-range pad count, or
+// parent slots that are no best-route tree yield a clean error string, never
+// UB, an abort or an oversized allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -98,54 +100,89 @@ TEST(Snapshot, SniffFileRoutesFormats) {
   std::remove(text_path.c_str());
 }
 
-TEST(Snapshot, RoundTripsBaselinesExactly) {
-  const auto gen = SmallTopology(11);
-  const topo::Asn origin1 = gen.stubs[3];
-  const topo::Asn origin2 = gen.tier1[0];
+// The state a snapshot derived for a baseline equals the converged one bit
+// for bit: announcement, round count, every best route (learned_from
+// included), change round and Adj-RIB-In slot.
+void ExpectSameState(const bgp::PropagationResult& converged,
+                     const bgp::PropagationResult& loaded) {
+  const std::string diff =
+      bgp::FirstDifference(loaded, converged, "snapshot", "converged");
+  EXPECT_EQ(diff, "");
+  EXPECT_EQ(converged.GetAnnouncement().origin,
+            loaded.GetAnnouncement().origin);
+  EXPECT_EQ(converged.GetAnnouncement().prepends.KeyString(),
+            loaded.GetAnnouncement().prepends.KeyString());
+  EXPECT_EQ(converged.Rounds(), loaded.Rounds());
+  EXPECT_TRUE(converged.BestRoutes() == loaded.BestRoutes()) << diff;
+  EXPECT_TRUE(converged.FirstChangeRounds() == loaded.FirstChangeRounds())
+      << diff;
+  EXPECT_TRUE(converged.RibIn() == loaded.RibIn()) << diff;
+}
 
-  bgp::PropagationSimulator engine(gen.graph);
+// Each origin's attack-free baseline, announced with λ=4.
+std::vector<std::shared_ptr<const bgp::PropagationResult>> ConvergeBaselines(
+    const topo::AsGraph& graph, const std::vector<topo::Asn>& origins) {
+  bgp::PropagationSimulator engine(graph);
   std::vector<std::shared_ptr<const bgp::PropagationResult>> baselines;
-  for (topo::Asn origin : {origin1, origin2}) {
+  for (topo::Asn origin : origins) {
     bgp::Announcement announcement;
     announcement.origin = origin;
     announcement.prepends.SetDefault(origin, 4);
     baselines.push_back(std::make_shared<const bgp::PropagationResult>(
         engine.Run(announcement)));
   }
+  return baselines;
+}
 
-  const std::string path = TempPath("baselines.snap");
-  ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, baselines, "t"), "");
+// Writes `baselines` into a snapshot, loads it back, and compares every
+// derived state with its converged original.
+void ExpectBaselinesRoundTrip(
+    const topo::AsGraph& graph,
+    const std::vector<std::shared_ptr<const bgp::PropagationResult>>&
+        baselines,
+    const std::string& name) {
+  const std::string path = TempPath(name);
+  ASSERT_EQ(WriteSnapshotFile(path, graph, {}, baselines, "t"), "");
   Snapshot snapshot;
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
-  ASSERT_EQ(snapshot.Baselines().size(), 2u);
-
-  for (std::size_t i = 0; i < baselines.size(); ++i) {
-    const bgp::PropagationResult& original = *baselines[i];
-    const bgp::PropagationResult& restored = *snapshot.Baselines()[i];
-    EXPECT_EQ(original.GetAnnouncement().origin,
-              restored.GetAnnouncement().origin);
-    EXPECT_EQ(original.GetAnnouncement().prepends.KeyString(),
-              restored.GetAnnouncement().prepends.KeyString());
-    EXPECT_EQ(original.Rounds(), restored.Rounds());
-    for (topo::Asn asn : gen.graph.Ases()) {
-      const auto& want = original.BestAt(asn);
-      const auto& got = restored.BestAt(asn);
-      ASSERT_EQ(want.has_value(), got.has_value()) << "AS" << asn;
-      if (want.has_value()) {
-        EXPECT_EQ(want->path.Hops(), got->path.Hops()) << "AS" << asn;
-        EXPECT_EQ(want->rel, got->rel) << "AS" << asn;
-        EXPECT_EQ(want->effective, got->effective) << "AS" << asn;
-      }
-      EXPECT_EQ(original.FirstChangeRound(asn), restored.FirstChangeRound(asn))
-          << "AS" << asn;
-    }
-  }
   std::remove(path.c_str());
+  ASSERT_EQ(snapshot.Baselines().size(), baselines.size());
+  for (std::size_t i = 0; i < baselines.size(); ++i) {
+    SCOPED_TRACE("baseline " + std::to_string(i));
+    ExpectSameState(*baselines[i], *snapshot.Baselines()[i]);
+  }
+}
+
+TEST(Snapshot, RoundTripsBaselinesExactly) {
+  // The generator's 15 sibling pairs put best routes learned over a sibling
+  // link (their class transported from the far side) into both baselines.
+  const auto gen = SmallTopology(11);
+  ASSERT_EQ(gen.siblings.size(), 15u);
+  const auto baselines =
+      ConvergeBaselines(gen.graph, {gen.stubs[3], gen.tier1[0]});
+  for (const auto& baseline : baselines) {
+    EXPECT_TRUE(std::any_of(
+        baseline->BestRoutes().begin(), baseline->BestRoutes().end(),
+        [](const std::optional<bgp::Route>& route) {
+          return route.has_value() && route->rel == topo::Relation::kSibling;
+        }));
+  }
+  ExpectBaselinesRoundTrip(gen.graph, baselines, "baselines.snap");
+}
+
+TEST(Snapshot, RoundTripsInternet2026BaselinesExactly) {
+  // The same gate at the scale the server runs: ~100k ASes, a tier-1 and a
+  // stub victim.
+  const topo::GeneratedTopology gen =
+      topo::GenerateInternetTopology(topo::Internet2026Params());
+  ExpectBaselinesRoundTrip(
+      gen.graph, ConvergeBaselines(gen.graph, {gen.tier1[0], gen.stubs[0]}),
+      "internet2026.snap");
 }
 
 TEST(Snapshot, WarmStartedAttackMatchesColdRun) {
   // The acceptance property behind --snapshot fast paths: an attack resumed
-  // from a restored checkpoint is bit-identical to one whose baseline was
+  // from a loaded checkpoint is bit-identical to one whose baseline was
   // converged from scratch.
   const auto gen = SmallTopology(13);
   const topo::Asn victim = gen.stubs[5];
@@ -165,7 +202,7 @@ TEST(Snapshot, WarmStartedAttackMatchesColdRun) {
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
   ASSERT_EQ(snapshot.Baselines().size(), 1u);
 
-  // Warm: the restored checkpoint pre-seeds the cache over the *snapshot's*
+  // Warm: the loaded checkpoint pre-seeds the cache over the *snapshot's*
   // graph; cold: a fresh convergence over the original graph.
   attack::BaselineCache warm_cache(snapshot.Graph());
   warm_cache.Put(snapshot.Baselines()[0]);
@@ -336,12 +373,13 @@ TEST(Snapshot, LoadRejectsBadMagic) {
 }
 
 TEST(Snapshot, LoadRejectsVersionSkew) {
-  // Newer files and the retired v1 format alike: only kSnapshotVersion loads.
+  // Newer files and the retired v1 and v2 formats alike: only
+  // kSnapshotVersion loads.
   const auto gen = SmallTopology();
   const std::string path = TempPath("version.snap");
   ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {}, "t"), "");
   const std::string bytes = ReadFile(path);
-  for (const std::uint32_t version : {kSnapshotVersion + 1, 1u}) {
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 2u, 1u}) {
     std::string skewed = bytes;
     StoreLe(skewed, 8, 4, version);
     WriteFile(path, skewed);
@@ -458,36 +496,124 @@ TEST(Snapshot, PadCountsOutsideTheProtocolRangeNeverLoadOrWrite) {
   std::remove(path.c_str());
 }
 
-TEST(Snapshot, LoadRejectsHopCountPastTheSectionEnd) {
-  // A hop count is checked against the bytes its section has left before the
-  // path is sized: a CRC-repaired count can never drive a huge allocation.
+TEST(Snapshot, LoadRejectsParentSlotsThatAreNotABestRouteTree) {
+  // Behind a repaired CRC, parent slots that cannot be a converged
+  // best-route tree, or a record cut short, are a clean error naming the
+  // baseline and the AS — never an out-of-bounds index, an endless walk up a
+  // cycle, or arrays sized past the section.
   const auto gen = SmallTopology();
-  bgp::PropagationSimulator engine(gen.graph);
+  const topo::AsGraph& graph = gen.graph;
+  bgp::PropagationSimulator engine(graph);
   bgp::Announcement announcement;
   announcement.origin = gen.stubs[0];
   announcement.prepends.SetDefault(announcement.origin, 3);
   auto baseline = std::make_shared<const bgp::PropagationResult>(
       engine.Run(announcement));
-  const std::string path = TempPath("hops.snap");
-  ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {baseline}, "t"), "");
-  std::string bytes = ReadFile(path);
+  const std::string path = TempPath("parents.snap");
+  ASSERT_EQ(WriteSnapshotFile(path, graph, {}, {baseline}, "t"), "");
+  const std::string bytes = ReadFile(path);
   const auto entry = FindSection(bytes, kBaselinesSectionType);
   ASSERT_TRUE(entry.has_value());
 
   // u64 count | u32 origin | policy (u64 1 | u32 asn | i32 pads | u64 0) |
-  // i32 rounds, then AsId 0's has-best byte and its route's u32 hop count.
-  const std::size_t has_best = entry->offset + 8 + 4 + 24 + 4;
-  ASSERT_EQ(bytes[has_best], 1);
-  const std::size_t hop_count = has_best + 1;
-  const std::uint64_t left = entry->offset + entry->size - (hop_count + 4);
-  const std::uint64_t overrun = left / 4 + 1;
-  StoreLe(bytes, hop_count, 4, overrun);
-  RestampCrc(bytes, *entry);
-  WriteFile(path, bytes);
+  // i32 rounds, then one u32 parent slot per AS in dense order.
+  const std::size_t slots = entry->offset + 8 + 4 + 24 + 4;
+  const auto slot_toward = [&graph](topo::AsId from, topo::AsId to) {
+    const auto row = graph.NeighborsAt(from);
+    return static_cast<std::uint32_t>(
+        std::find_if(row.begin(), row.end(),
+                     [to](const topo::Edge& edge) { return edge.id == to; }) -
+        row.begin());
+  };
+  const auto label = [&graph](topo::AsId id) {
+    return "AS" + std::to_string(graph.AsnAt(id)) + ": ";
+  };
+  const topo::AsId origin = graph.IndexOf(announcement.origin);
+  ASSERT_EQ(LoadLe(bytes, slots + 4 * origin, 4),
+            bgp::PropagationResult::kNoParent);
 
+  // A provider-learned best route may go down to customers only: exporting
+  // it to the AS's peer or provider `y` is not policy-legal. `y` must not be
+  // on the path, or making it the child would close a cycle instead.
+  topo::AsId exporter = 0, child = 0;
+  bool found = false;
+  for (topo::AsId x = 0; x < graph.NumAses() && !found; ++x) {
+    const auto& best = baseline->BestRoutes()[x];
+    if (!best.has_value() || best->effective != topo::Relation::kProvider) {
+      continue;
+    }
+    for (const topo::Edge& edge : graph.NeighborsAt(x)) {
+      if ((edge.rel == topo::Relation::kPeer ||
+           edge.rel == topo::Relation::kProvider) &&
+          edge.id != origin && !best->path.Contains(edge.asn)) {
+        exporter = x;
+        child = edge.id;
+        found = true;
+        break;
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+
+  const topo::AsId a = graph.IndexOf(gen.tier1[0]);
+  const topo::AsId b = graph.NeighborsAt(a)[0].id;
+  ASSERT_NE(b, origin);
+  struct Case {
+    const char* name;
+    std::vector<std::pair<topo::AsId, std::uint32_t>> slots;  // AS → slot
+    std::vector<std::string> any_of;  // the error contains one of these
+  };
+  const Case cases[] = {
+      {"slot past the degree",
+       {{a, static_cast<std::uint32_t>(graph.DegreeAt(a))}},
+       {label(a) + "parent slot " + std::to_string(graph.DegreeAt(a)) +
+        " outside its degree"}},
+      {"origin with a parent",
+       {{origin, 0}},
+       {label(origin) + "the origin has a parent"}},
+      {"two-AS cycle",
+       {{a, slot_toward(a, b)}, {b, slot_toward(b, a)}},
+       {label(a) + "parent links form a cycle",
+        label(b) + "parent links form a cycle"}},
+      {"export that is not policy-legal",
+       {{child, slot_toward(child, exporter)}},
+       {label(child) + "parent AS" + std::to_string(graph.AsnAt(exporter)) +
+        " delivers it no route"}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string crafted = bytes;
+    for (const auto& [id, slot] : c.slots) {
+      StoreLe(crafted, slots + 4 * id, 4, slot);
+    }
+    RestampCrc(crafted, *entry);
+    WriteFile(path, crafted);
+    Snapshot snapshot;
+    const std::string err = Snapshot::Load(path, snapshot);
+    EXPECT_TRUE(std::any_of(c.any_of.begin(), c.any_of.end(),
+                            [&err](const std::string& want) {
+                              return err.find("baseline 0: " + want) !=
+                                     std::string::npos;
+                            }))
+        << err;
+  }
+
+  // A record cut short: kBaselines is the file's last section, so dropping
+  // its last change round only needs the table, the header and the CRC to
+  // agree with the shorter file.
+  ASSERT_EQ(entry->offset + entry->size, bytes.size());
+  std::string cut = bytes.substr(0, bytes.size() - 4);
+  StoreLe(cut, entry->entry_offset + 16, 8, entry->size - 4);
+  StoreLe(cut, 16, 8, cut.size());
+  TableEntry shorter = *entry;
+  shorter.size -= 4;
+  RestampCrc(cut, shorter);
+  WriteFile(path, cut);
   Snapshot snapshot;
   const std::string err = Snapshot::Load(path, snapshot);
-  EXPECT_NE(err.find("hop count " + std::to_string(overrun)), std::string::npos)
+  EXPECT_NE(err.find("baseline 0: truncated: " +
+                     std::to_string(graph.NumAses()) + " ASes need"),
+            std::string::npos)
       << err;
   std::remove(path.c_str());
 }
@@ -536,15 +662,15 @@ TEST(Snapshot, LoadRejectsFlippedPayloadBits) {
   std::remove(flip_path.c_str());
 }
 
-// --- v2 format: zero-copy CSR section ----------------------------------------
+// --- zero-copy CSR section (since format v2) ---------------------------------
 
-TEST(Snapshot, V2LoadIsNotLegacy) {
+TEST(Snapshot, LoadReportsVersion3) {
   const auto gen = SmallTopology();
-  const std::string path = TempPath("v2.snap");
+  const std::string path = TempPath("v3.snap");
   ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {}, "t"), "");
   Snapshot snapshot;
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
-  EXPECT_EQ(snapshot.Info().version, 2u);
+  EXPECT_EQ(snapshot.Info().version, 3u);
   std::remove(path.c_str());
 }
 
@@ -594,7 +720,7 @@ TEST(Snapshot, CsrStructuralValidationBehindTheCrc) {
 }
 
 TEST(Snapshot, LoadedSnapshotSurvivesMove) {
-  // The restored baselines point at the snapshot's heap-owned graph; a move
+  // The loaded baselines point at the snapshot's heap-owned graph; a move
   // must not invalidate them.
   const auto gen = SmallTopology(17);
   bgp::PropagationSimulator engine(gen.graph);

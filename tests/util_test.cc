@@ -493,6 +493,28 @@ TEST(JsonParse, NestedStructuresAndEscapes) {
   EXPECT_EQ(parsed->Find("d")->GetType(), Json::Type::kNull);
 }
 
+TEST(JsonParse, NestingIsCappedAtMaxDepth) {
+  // The parser recurses once per level, so depth is capped (at 64) to keep
+  // hostile input off the end of a pool thread's stack; the cap itself
+  // parses.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  ASSERT_EQ(Json::kMaxDepth, 64);
+  std::string error;
+  EXPECT_TRUE(Json::Parse(nested(64), &error).has_value()) << error;
+  EXPECT_TRUE(Json::Parse("{\"a\":" + nested(63) + "}", &error).has_value())
+      << error;
+  for (const int depth : {65, 60000}) {
+    error.clear();
+    EXPECT_FALSE(Json::Parse(nested(depth), &error).has_value()) << depth;
+    EXPECT_NE(error.find("nesting deeper than 64 levels"), std::string::npos)
+        << error;
+  }
+  EXPECT_FALSE(Json::Parse(std::string(60000, '{'), &error).has_value());
+}
+
 // --- ShardedLruCache ---------------------------------------------------------
 
 TEST(LruCache, PutGetAndRecencyEviction) {

@@ -30,7 +30,8 @@ int main(int argc, char** argv) {
                        "attacker violates valley-free export");
   e.Flags().DefineInt("show", 8,
                       "number of hijacked routes / sweep rows to print");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   topo::AsGraph loaded_graph;
   data::Snapshot snapshot;
@@ -49,7 +50,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "need --victim present in the topology\n");
     return 1;
   }
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
   const int show = static_cast<int>(e.Flags().GetInt("show"));
 
   e.Note("topology: %zu ASes, %zu links", graph.NumAses(), graph.NumLinks());

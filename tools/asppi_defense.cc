@@ -86,7 +86,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineBool("verify-engines", false,
                        "check every point against the Resume oracle and "
                        "require bit-identical attacked states");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   topo::AsGraph loaded_graph;
   data::Snapshot snapshot;
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
   const topo::AsGraph& graph = *graph_ptr;
 
   defense::DefenseSweepOptions options;
-  options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  options.lambda = lambda;
   options.violate_valley_free = e.Flags().GetBool("violate");
   options.num_pairs = static_cast<std::size_t>(e.Flags().GetUint("pairs"));
   options.seed = e.Flags().GetUint("seed");

@@ -76,14 +76,10 @@ int main(int argc, char** argv) {
   e.Flags().DefineInt("slow-ms", 1000, "slow-query log threshold");
   e.Flags().DefineInt("duration", 0,
                       "exit after this many seconds (0 = run until signal)");
-  if (!e.ParseFlags(argc, argv)) return 1;
-  // Checked at startup: the service applies it to every request that omits
-  // "lambda", and PrependPolicy aborts on pads < 1.
-  if (e.Flags().GetInt("lambda") < 1 ||
-      e.Flags().GetInt("lambda") > bgp::kMaxPads) {
-    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
-    return 1;
-  }
+  // --lambda is checked at startup: the service applies it to every request
+  // that omits "lambda", and PrependPolicy aborts on pads < 1.
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   const std::string& snapshot_path = e.Flags().GetString("snapshot");
   const std::string& path =
@@ -94,7 +90,7 @@ int main(int argc, char** argv) {
   }
 
   serve::ServiceOptions service_options;
-  service_options.default_lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  service_options.default_lambda = lambda;
   service_options.default_monitors =
       static_cast<std::size_t>(e.Flags().GetUint("monitors"));
   service_options.cache_capacity =

@@ -17,8 +17,8 @@
 // origin (announced with the snapshot policy overlaid by a uniform --lambda
 // default) and embeds the checkpoints, so a server warm-starts without
 // running propagation. --verify reloads the written file and cross-checks
-// the graph and policy against the text-loaded corpus before reporting
-// success.
+// the graph, policy and every derived baseline state against the
+// text-loaded corpus and the converged baselines before reporting success.
 #include <cstdio>
 #include <set>
 
@@ -174,14 +174,10 @@ int main(int argc, char** argv) {
                        "and exit");
   e.Flags().DefineBool("verify", false,
                        "reload the written snapshot and cross-check it "
-                       "against the text-loaded corpus");
-  if (!e.ParseFlags(argc, argv)) return 1;
-  if (e.Flags().GetInt("lambda") < 1 ||
-      e.Flags().GetInt("lambda") > bgp::kMaxPads) {
-    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
-    return 1;
-  }
-  const int lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+                       "against the text-loaded corpus and the converged "
+                       "baselines");
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   if (e.Flags().GetBool("info")) {
     data::Snapshot snapshot;
@@ -282,7 +278,21 @@ int main(int argc, char** argv) {
                    "text-loaded corpus\n");
       return 1;
     }
-    e.Note("verify: snapshot round-trips the text-loaded corpus");
+    // Each baseline the loader derived from its parent slots must be the
+    // converged state itself: rounds, every best route, change round and
+    // Adj-RIB-In slot.
+    for (std::size_t i = 0; i < baselines.size(); ++i) {
+      const std::string diff = bgp::FirstDifference(
+          *reloaded.Baselines()[i], *baselines[i], "snapshot", "converged");
+      if (!diff.empty()) {
+        std::fprintf(stderr, "verify failed: baseline %zu (origin AS%u): %s\n",
+                     i, baselines[i]->GetAnnouncement().origin, diff.c_str());
+        return 1;
+      }
+    }
+    e.Note("verify: snapshot round-trips the text-loaded corpus and %zu "
+           "baseline(s)",
+           baselines.size());
   }
 
   util::Table table({"ases", "links", "baselines", "lambda", "defended"});

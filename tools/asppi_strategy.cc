@@ -64,7 +64,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineBool("verify-engines", false,
                        "check every scored program against the Resume "
                        "oracle; any state mismatch fails the run");
-  if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
   topo::AsGraph loaded_graph;
   data::Snapshot snapshot;
@@ -104,7 +105,7 @@ int main(int argc, char** argv) {
   }
 
   strategy::SearchOptions options;
-  options.lambda = static_cast<int>(e.Flags().GetInt("lambda"));
+  options.lambda = lambda;
   options.beam_width = e.Flags().GetUint("beam");
   options.rounds = e.Flags().GetUint("rounds");
   options.max_neighbors = e.Flags().GetUint("max-neighbors");
