@@ -23,9 +23,7 @@ int main(int argc, char** argv) {
                        "number of churn events for the update feed");
   if (!e.ParseFlags(argc, argv)) return 1;
 
-  topo::GeneratorParams params = e.Params();
-  params.num_sibling_pairs = 0;
-  const topo::GeneratedTopology& topology = e.GenerateTopology(params);
+  const topo::GeneratedTopology& topology = e.GenerateTopology();
 
   data::MeasurementParams mp;
   mp.num_prefixes = e.Flags().GetUint("prefixes");

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   topo::GeneratorParams params;
   params.seed = 2011;
-  params.num_sibling_pairs = 0;  // measurement engine uses RoutingTree
   topo::GeneratedTopology gen = topo::GenerateInternetTopology(params);
 
   data::MeasurementParams mp;

@@ -160,7 +160,7 @@ class DeltaPropagator {
   // equivalent of PropagationSimulator::Resume, bit-identical by
   // construction. `base` must be converged state over the same graph; the
   // result holds a reference to it (shared_ptr keeps it alive). `filter`
-  // gates imports through the shared engine_detail::AcceptDelivery kernel,
+  // gates imports through the shared engine_detail::ExportTo kernel,
   // exactly as in the full engine.
   DeltaResult Propagate(std::shared_ptr<const PropagationResult> base,
                         RouteTransform* transform,

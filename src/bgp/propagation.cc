@@ -34,10 +34,20 @@ std::string RenderRoute(const std::optional<Route>& route) {
                       static_cast<unsigned>(route->learned_from));
 }
 
-}  // namespace
+// One candidate export from `u_asn` to the neighbor (v_asn, v_rel):
+// `send == false` means nothing crosses the wire this round (either no route
+// to offer after sender-side loop avoidance, or policy/transform suppressed
+// it). `path` is only meaningful when `send` is set.
+struct WireExport {
+  bool send = false;
+  AsPath path;
+  Relation out_class = Relation::kCustomer;
+};
 
-namespace engine_detail {
-
+// The export as it leaves `u_asn`: the origin announces its own prefix
+// (ranked like a customer route), everyone else re-exports its best route
+// behind its own pads, and the transform's OnExport hook may rewrite the
+// path or force/suppress the send.
 WireExport BuildExport(const Announcement& announcement, Asn u_asn,
                        bool is_origin, const std::optional<Route>& best,
                        Asn v_asn, Relation v_rel, RouteTransform* transform) {
@@ -74,6 +84,9 @@ WireExport BuildExport(const Announcement& announcement, Asn u_asn,
   return out;
 }
 
+// Import-policy gate at the receiver (dense id `v`, ASN `v_asn`). A null
+// filter accepts everything; MightFilter narrows the per-delivery cost to
+// deployed receivers.
 bool AcceptDelivery(const ImportFilter* filter, topo::AsId v, Asn v_asn,
                     const Route& route, const Announcement& announcement) {
   if (filter == nullptr || !filter->MightFilter(v)) return true;
@@ -81,6 +94,7 @@ bool AcceptDelivery(const ImportFilter* filter, topo::AsId v, Asn v_asn,
                         announcement.prepends);
 }
 
+// The Adj-RIB-In entry a delivered `wire` becomes at the receiver.
 Route DeliverRoute(WireExport&& wire, Asn u_asn, Relation v_rel) {
   Route route;
   route.path = std::move(wire.path);
@@ -92,6 +106,10 @@ Route DeliverRoute(WireExport&& wire, Asn u_asn, Relation v_rel) {
       (route.rel == Relation::kSibling) ? wire.out_class : route.rel;
   return route;
 }
+
+}  // namespace
+
+namespace engine_detail {
 
 Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
                   const std::optional<Route>& best, const topo::Edge& to,

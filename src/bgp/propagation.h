@@ -48,54 +48,29 @@ struct Announcement {
   PrependPolicy prepends;
 };
 
-// Shared per-edge kernels of the synchronous engines. PropagationSimulator
-// (full state) and DeltaPropagator (sparse overlay, bgp/delta.h) both build
-// their exports and decisions from these, so the two engines agree bit for
-// bit on every wire-visible action by construction — the equivalence the
+// Shared per-edge kernels of the engines. PropagationSimulator (full state)
+// and DeltaPropagator (sparse overlay, bgp/delta.h) build their exports and
+// decisions from these, and PropagationResult::FromCheckpoint and
+// RoutingTree derive their routes with ExportTo, so every engine agrees bit
+// for bit on every wire-visible action by construction — the equivalence the
 // delta engine's correctness proof (DESIGN.md §4h) and its Resume oracle
 // (attack::DiffAgainstResume) rest on.
 namespace engine_detail {
 
-// One candidate export from `u_asn` to the neighbor (v_asn, v_rel):
-// `send == false` means nothing crosses the wire this round (either no route
-// to offer after sender-side loop avoidance, or policy/transform suppressed
-// it) — a slot the receiver holds for this sender is then cleared.
-struct WireExport {
-  bool send = false;
-  AsPath path;
-  Relation out_class = Relation::kCustomer;
-};
-
-// Builds the export exactly as ExportFrom always has: the origin announces
-// its own prefix (ranked like a customer route), everyone else re-exports
-// its best route with its own prepends applied, and the transform's OnExport
-// hook may rewrite the path or force/suppress the send. `path` is only
-// meaningful when `send` is set.
-WireExport BuildExport(const Announcement& announcement, Asn u_asn,
-                       bool is_origin, const std::optional<Route>& best,
-                       Asn v_asn, Relation v_rel, RouteTransform* transform);
-
-// The Adj-RIB-In entry a delivered `wire` becomes at the receiver (after the
-// receiver-side loop check, which the caller performs).
-Route DeliverRoute(WireExport&& wire, Asn u_asn, Relation v_rel);
-
-// Import-policy gate at the receiver (dense id `v`, ASN `v_asn`): does the
-// delivered `route` pass `filter`? Evaluated by BOTH engines at the same
-// point — after the receiver-side loop check, before the Adj-RIB-In write —
-// so defended runs stay bit-identical across engines. A rejected delivery
-// mirrors the loop-check branch: the wire crossed, the receiver's slot is
-// invalidated. Null filter accepts everything; MightFilter narrows the
-// per-delivery cost to deployed receivers.
-bool AcceptDelivery(const ImportFilter* filter, topo::AsId v, Asn v_asn,
-                    const Route& route, const Announcement& announcement);
-
 // One export from `u_asn` over the edge `to`, as every consumer of an export
-// sees it: BuildExport, the receiver-side loop check, DeliverRoute and
-// AcceptDelivery in that order. `route` is what the receiver's Adj-RIB-In
-// slot for `u` holds afterwards — nullopt when nothing is sent, the receiver
-// finds itself on the path, or `filter` rejects the route. A slot is only
-// ever written from this value, so "slot held" implies "a route was sent",
-// and a withdrawal is just the clearing of a held slot.
+// sees it. The origin announces its own prefix (ranked like a customer
+// route); everyone else re-exports its best route with its own pads in
+// front, never back through an AS already on it. The valley-free rule
+// decides whether it is sent, and the transform's OnExport hook may rewrite
+// the path or force/suppress the send. A path containing the receiver is
+// discarded there; otherwise the route is delivered with its class carried
+// across sibling links unchanged (Route::effective), and `filter` — the
+// import policy, evaluated by every engine at this same point — may reject
+// it. `route` is what the receiver's Adj-RIB-In slot for `u` holds
+// afterwards — nullopt when nothing is sent, the receiver finds itself on
+// the path, or `filter` rejects the route. A slot is only ever written from
+// this value, so "slot held" implies "a route was sent", and a withdrawal is
+// just the clearing of a held slot.
 struct Delivery {
   bool sent = false;  // something crossed the wire (routes_announced)
   std::optional<Route> route;

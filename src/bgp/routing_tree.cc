@@ -1,5 +1,7 @@
 #include "bgp/routing_tree.h"
 
+#include <initializer_list>
+#include <limits>
 #include <queue>
 
 #include "util/check.h"
@@ -10,6 +12,8 @@ namespace asppi::bgp {
 namespace {
 
 using topo::AsGraph;
+using topo::AsId;
+using topo::Edge;
 using topo::Relation;
 
 // Per-phase BFS/Dijkstra visit counts (settled queue pops / relaxation
@@ -26,9 +30,16 @@ TreeMetrics& Instr() {
   return *m;
 }
 
+// The phase that gave an AS its route, which is also the route's class. An
+// AS keeps the first phase's route: customer > peer > provider.
+enum Phase : std::uint8_t { kUnrouted, kCustomerPhase, kPeerPhase, kProviderPhase };
+
+constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
+constexpr std::uint32_t kNoParent = PropagationResult::kNoParent;
+
 struct QueueItem {
   std::size_t dist;
-  std::size_t node;
+  AsId node;
   bool operator>(const QueueItem& other) const {
     if (dist != other.dist) return dist > other.dist;
     return node > other.node;
@@ -40,188 +51,116 @@ using MinQueue =
 
 }  // namespace
 
-const char* RoutingTree::ViaName(Via via) {
-  switch (via) {
-    case Via::kNone:
-      return "none";
-    case Via::kSelf:
-      return "self";
-    case Via::kCustomer:
-      return "customer";
-    case Via::kPeer:
-      return "peer";
-    case Via::kProvider:
-      return "provider";
-  }
-  return "?";
-}
-
-RoutingTree::RoutingTree(const topo::AsGraph& graph,
-                         const Announcement& announcement)
+RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
     : graph_(graph), announcement_(announcement) {
   ASPPI_CHECK(graph.HasAs(announcement.origin));
-  const std::size_t n = graph.NumAses();
-  for (topo::AsId id = 0; id < n; ++id) {
-    ASPPI_CHECK(graph.SiblingsAt(id).empty())
-        << "RoutingTree does not support sibling links";
-  }
   Instr().builds.Add();
-  entries_.resize(n);
-  const std::size_t origin = graph.IndexOf(announcement.origin);
-  std::uint64_t phase1_visits = 0, phase2_visits = 0, phase3_visits = 0;
+  const std::size_t n = graph.NumAses();
+  const AsId origin = graph.IndexOf(announcement.origin);
+  parent_slots_.assign(n, kNoParent);
+  // dist[as]: length of the AS's route, pads included (kInf: none yet).
+  std::vector<std::size_t> dist(n, kInf);
+  std::vector<std::uint8_t> phase(n, kUnrouted);
+  MinQueue queue;
 
-  auto pads = [&](Asn exporter, Asn neighbor) {
-    return static_cast<std::size_t>(
-        announcement_.prepends.PadsFor(exporter, neighbor));
+  // `u` offers its route over `edge` during phase `p`. A receiver routed by
+  // an earlier phase ignores it; otherwise it keeps the shorter route, and of
+  // two equally long ones the one from the lower neighbor ASN. Returns true
+  // when the receiver's distance dropped, so it must be (re)queued.
+  const auto offer = [&](AsId u, const Edge& edge, Phase p) {
+    const AsId v = edge.id;
+    if (phase[v] != kUnrouted && phase[v] != p) return false;
+    const Asn u_asn = graph.AsnAt(u);
+    const std::size_t nd =
+        dist[u] + static_cast<std::size_t>(
+                      announcement_.prepends.PadsFor(u_asn, edge.asn));
+    if (nd < dist[v]) {
+      dist[v] = nd;
+      phase[v] = p;
+      parent_slots_[v] = edge.back_slot;
+      return true;
+    }
+    if (nd == dist[v] && u_asn < graph.NeighborsAt(v)[parent_slots_[v]].asn) {
+      parent_slots_[v] = edge.back_slot;
+    }
+    return false;
+  };
+  // Dijkstra from what is queued, offering over the `rels` segments.
+  const auto settle = [&](Phase p, std::initializer_list<Relation> rels) {
+    std::uint64_t visits = 0;
+    while (!queue.empty()) {
+      const auto [d, u] = queue.top();
+      queue.pop();
+      if (d != dist[u]) continue;  // stale entry
+      ++visits;
+      for (const Relation rel : rels) {
+        for (const Edge& edge : graph.EdgeSegmentAt(u, rel)) {
+          if (offer(u, edge, p)) queue.push({dist[edge.id], edge.id});
+        }
+      }
+    }
+    return visits;
   };
 
-  // --- Phase 1: customer routes (shortest uphill distances) ---------------
-  // dist_c[u] = length of the shortest customer-learned path at u.
-  std::vector<std::size_t> dist_c(n, kInf);
-  std::vector<Asn> parent_c(n, 0);
-  {
-    MinQueue queue;
-    // The origin exports its own prefix (with per-neighbor prepending) to its
-    // providers; conceptually dist_c[origin] = 0.
-    dist_c[origin] = 0;
-    queue.push({0, origin});
-    while (!queue.empty()) {
-      auto [d, u] = queue.top();
-      queue.pop();
-      if (d != dist_c[u]) continue;  // stale entry
-      ++phase1_visits;
-      const Asn u_asn = graph.AsnAt(static_cast<topo::AsId>(u));
-      // Uphill: u exports to its providers (the provider segment of its row).
-      for (const AsGraph::Neighbor& nb :
-           graph.EdgeSegmentAt(static_cast<topo::AsId>(u),
-                               Relation::kProvider)) {
-        const std::size_t v = nb.id;
-        const std::size_t nd = d + pads(u_asn, nb.asn);
-        if (nd < dist_c[v]) {
-          dist_c[v] = nd;
-          parent_c[v] = u_asn;
-          queue.push({nd, v});
-        }
-      }
+  // --- Phase 1: customer routes, up provider edges and across siblings ----
+  // The origin ranks its own prefix like a customer route.
+  dist[origin] = 0;
+  phase[origin] = kCustomerPhase;
+  queue.push({0, origin});
+  Instr().phase1.Add(
+      settle(kCustomerPhase, {Relation::kProvider, Relation::kSibling}));
+
+  // --- Phase 2: peer routes, one peer edge from a customer route, then ----
+  // across siblings. Only ASes with sibling links seed the sibling pass.
+  std::uint64_t peer_visits = 0;
+  for (AsId w = 0; w < n; ++w) {
+    if (phase[w] != kCustomerPhase) continue;
+    ++peer_visits;
+    for (const Edge& edge : graph.EdgeSegmentAt(w, Relation::kPeer)) {
+      offer(w, edge, kPeerPhase);
     }
   }
-
-  // --- Phase 2: peer routes (one peer edge from a customer-route AS) ------
-  std::vector<std::size_t> dist_p(n, kInf);
-  std::vector<Asn> parent_p(n, 0);
-  for (std::size_t w = 0; w < n; ++w) {
-    if (dist_c[w] == kInf) continue;  // w's best is not a customer route
-    ++phase2_visits;
-    const Asn w_asn = graph.AsnAt(static_cast<topo::AsId>(w));
-    for (const AsGraph::Neighbor& nb :
-         graph.EdgeSegmentAt(static_cast<topo::AsId>(w), Relation::kPeer)) {
-      const std::size_t v = nb.id;
-      const std::size_t nd = dist_c[w] + pads(w_asn, nb.asn);
-      if (nd < dist_p[v] || (nd == dist_p[v] && w_asn < parent_p[v])) {
-        dist_p[v] = nd;
-        parent_p[v] = w_asn;
-      }
+  for (AsId v = 0; v < n; ++v) {
+    if (phase[v] == kPeerPhase && !graph.SiblingsAt(v).empty()) {
+      queue.push({dist[v], v});
     }
   }
+  peer_visits += settle(kPeerPhase, {Relation::kSibling});
+  Instr().phase2.Add(peer_visits);
 
-  // Fold phases 1-2 into provisional best entries.
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u == origin) {
-      entries_[u] = {Via::kSelf, 0, 0};
-    } else if (dist_c[u] != kInf) {
-      entries_[u] = {Via::kCustomer, dist_c[u], parent_c[u]};
-    } else if (dist_p[u] != kInf) {
-      entries_[u] = {Via::kPeer, dist_p[u], parent_p[u]};
-    }
-  }
-
-  // --- Phase 3: provider routes (downhill propagation of best routes) -----
-  // Multi-source Dijkstra over provider→customer edges. Sources: every AS
-  // already covered (it exports its best to its customers). Relaxation may
+  // --- Phase 3: provider routes, down customer edges and across siblings --
+  // Every routed AS exports its best route to its customers; relaxation may
   // chain through provider-route-only ASes (Provider-Customer* suffix).
-  {
-    std::vector<std::size_t> dist_d(n, kInf);
-    std::vector<Asn> parent_d(n, 0);
-    MinQueue queue;
-    auto export_dist = [&](std::size_t u) -> std::size_t {
-      // What u's best looks like to its customers.
-      if (entries_[u].via == Via::kSelf) return 0;
-      if (entries_[u].via != Via::kNone) return entries_[u].length;
-      return dist_d[u];
-    };
-    for (std::size_t u = 0; u < n; ++u) {
-      if (entries_[u].via != Via::kNone) queue.push({export_dist(u), u});
-    }
-    while (!queue.empty()) {
-      auto [d, u] = queue.top();
-      queue.pop();
-      if (d != export_dist(u)) continue;  // stale
-      ++phase3_visits;
-      const Asn u_asn = graph.AsnAt(static_cast<topo::AsId>(u));
-      for (const AsGraph::Neighbor& nb :
-           graph.EdgeSegmentAt(static_cast<topo::AsId>(u),
-                               Relation::kCustomer)) {
-        const std::size_t v = nb.id;
-        const std::size_t nd = d + pads(u_asn, nb.asn);
-        // Only ASes without customer/peer routes use provider routes.
-        if (entries_[v].via != Via::kNone) continue;
-        if (nd < dist_d[v]) {
-          dist_d[v] = nd;
-          parent_d[v] = u_asn;
-          queue.push({nd, v});
-        }
-      }
-    }
-    for (std::size_t u = 0; u < n; ++u) {
-      if (entries_[u].via == Via::kNone && dist_d[u] != kInf) {
-        entries_[u] = {Via::kProvider, dist_d[u], parent_d[u]};
-      }
-    }
+  for (AsId u = 0; u < n; ++u) {
+    if (phase[u] != kUnrouted) queue.push({dist[u], u});
   }
-  Instr().phase1.Add(phase1_visits);
-  Instr().phase2.Add(phase2_visits);
-  Instr().phase3.Add(phase3_visits);
+  Instr().phase3.Add(
+      settle(kProviderPhase, {Relation::kCustomer, Relation::kSibling}));
 }
 
-const RoutingTree::Entry& RoutingTree::At(Asn asn) const {
-  return entries_[graph_.IndexOf(asn)];
-}
-
-AsPath RoutingTree::PathFrom(Asn asn) const {
-  const Entry& entry = At(asn);
-  if (entry.via == Via::kNone || entry.via == Via::kSelf) return AsPath{};
-  // Walk the parent chain down to the origin, then assemble with prepends.
-  std::vector<Asn> chain;  // [parent(asn), parent(parent), ..., origin]
-  Asn cur = entry.parent;
-  while (true) {
-    chain.push_back(cur);
-    const Entry& e = At(cur);
-    if (e.via == Via::kSelf) break;
-    ASPPI_CHECK(e.via != Via::kNone);
-    cur = e.parent;
-    ASPPI_CHECK_LE(chain.size(), graph_.NumAses()) << "parent cycle";
+std::optional<Route> RoutingTree::BestAt(Asn asn) const {
+  // The parent chain from `asn` up to its root, the origin (or `asn` itself
+  // when it has no route).
+  std::vector<AsId> chain;
+  AsId at = graph_.IndexOf(asn);
+  while (parent_slots_[at] != kNoParent) {
+    chain.push_back(at);
+    at = graph_.NeighborsAt(at)[parent_slots_[at]].id;
   }
-  // chain.front() is asn's direct neighbor; chain.back() is the origin.
-  // Build from the far end (origin) toward asn, applying each exporter's
-  // prepend count toward its receiver.
-  AsPath path;
-  for (std::size_t i = chain.size(); i-- > 0;) {
-    Asn hop = chain[i];
-    Asn receiver = (i == 0) ? asn : chain[i - 1];
-    path.Prepend(hop, announcement_.prepends.PadsFor(hop, receiver));
+  // Down the chain, each AS's best route is its parent's export to it.
+  std::optional<Route> best;
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    const Edge& up = graph_.NeighborsAt(*it)[parent_slots_[*it]];
+    best = engine_detail::ExportTo(announcement_, up.asn, it == chain.rbegin(),
+                                   best, graph_.NeighborsAt(at)[up.back_slot],
+                                   nullptr, nullptr)
+               .route;
+    ASPPI_CHECK(best.has_value())
+        << "AS" << up.asn << " exports no route to its tree child AS"
+        << graph_.AsnAt(*it);
+    at = *it;
   }
-  return path;
-}
-
-std::size_t RoutingTree::ReachableCount() const {
-  std::size_t count = 0;
-  for (const Entry& e : entries_) {
-    if (e.via == Via::kCustomer || e.via == Via::kPeer ||
-        e.via == Via::kProvider) {
-      ++count;
-    }
-  }
-  return count;
+  return best;
 }
 
 }  // namespace asppi::bgp

@@ -1,21 +1,25 @@
-// RoutingTree: the paper's Figure 2 algorithm — fast computation of every
-// AS's best route class and path length toward one origin under Gao-Rexford
-// policies, via three phases:
+// RoutingTree: the paper's Figure 2 algorithm — every AS's best route toward
+// one origin under Gao-Rexford policies, in three phases instead of
+// path-vector rounds:
 //
-//   1. customer routes: shortest uphill (customer→provider) distances from
-//      the origin (Dijkstra; prepend counts are the edge weights),
+//   1. customer routes: shortest distances from the origin over
+//      customer→provider and sibling edges (Dijkstra; pads are the weights),
 //   2. peer routes: one peer edge from any AS whose best is a customer route,
+//      then across sibling edges among ASes without a customer route,
 //   3. provider routes: shortest downhill propagation of each covered AS's
-//      best route to its customers.
+//      best route over provider→customer and sibling edges.
 //
-// This engine is ~an order of magnitude faster than the full path-vector
-// PropagationSimulator but cannot express mid-path attacker transforms; the
-// library uses it for attack-free baselines and as a cross-check oracle
-// (tests assert both engines agree on class and length). Sibling links are
-// not supported here — use PropagationSimulator for graphs containing them.
+// Sibling edges carry a route's class unchanged (Route::effective), and every
+// phase breaks length ties by the lowest neighbor ASN, BetterRoute's order.
+// Pads are at least 1, so a neighbor that offers an AS a route as short as
+// its best is settled before the AS is: the AS's parent is final when it is
+// popped. The tree therefore holds exactly the best routes
+// PropagationSimulator::Run converges to, in a fraction of its time. It has
+// no attacker transforms and no import filters.
 #pragma once
 
-#include <limits>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "bgp/propagation.h"
@@ -25,36 +29,21 @@ namespace asppi::bgp {
 
 class RoutingTree {
  public:
-  enum class Via : std::uint8_t { kNone, kSelf, kCustomer, kPeer, kProvider };
-
-  struct Entry {
-    Via via = Via::kNone;
-    // Length of the AS path as stored at this AS (prepends included).
-    std::size_t length = 0;
-    // Neighbor the route was learned from (0 for kSelf/kNone).
-    Asn parent = 0;
-  };
-
-  // Computes routes for `announcement` on `graph`. Aborts if the graph
-  // contains sibling links (unsupported by the three-phase decomposition).
   RoutingTree(const topo::AsGraph& graph, const Announcement& announcement);
 
-  const Entry& At(Asn asn) const;
-  // Reconstructs the full AS path (with prepends) as stored at `asn`;
-  // empty path if the AS has no route or is the origin.
-  AsPath PathFrom(Asn asn) const;
-
-  // Number of ASes with a route (origin excluded).
-  std::size_t ReachableCount() const;
-
-  static const char* ViaName(Via via);
+  // Best route of `asn`, equal to what Run(announcement).BestAt(asn) holds:
+  // nullopt for the origin and for ASes with no route. Derived by applying
+  // engine_detail::ExportTo down the parent chain from the origin, the
+  // kernel every engine shares.
+  std::optional<Route> BestAt(Asn asn) const;
 
  private:
-  static constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
-
   const topo::AsGraph& graph_;
   Announcement announcement_;
-  std::vector<Entry> entries_;
+  // Per AS, the position of its best route's neighbor in its own adjacency
+  // row; PropagationResult::kNoParent for no route (and always for the
+  // origin) — a PropagationResult::Checkpoint's encoding.
+  std::vector<std::uint32_t> parent_slots_;
 };
 
 }  // namespace asppi::bgp

@@ -73,7 +73,7 @@ class IdentityTransform final : public RouteTransform {
 // outstanding) but the receiver's slot for that neighbor is invalidated.
 //
 // Both engines evaluate the filter inside the shared engine_detail delivery
-// kernel (engine_detail::AcceptDelivery), so full and delta runs honor
+// kernel (engine_detail::ExportTo), so full and delta runs honor
 // policies bit-identically by construction. defense::PolicySet (defense/) is
 // the production implementation.
 //

@@ -44,15 +44,6 @@ void Truncate(Violations& out) {
   out.push_back(Format("(+%zu more violations)", dropped));
 }
 
-bool HasSiblingLinks(const topo::AsGraph& graph) {
-  for (Asn asn : graph.Ases()) {
-    for (const topo::AsGraph::Neighbor& nb : graph.NeighborsOf(asn)) {
-      if (nb.rel == topo::Relation::kSibling) return true;
-    }
-  }
-  return false;
-}
-
 std::string RenderRoute(const std::optional<bgp::Route>& route) {
   if (!route.has_value()) return "<none>";
   return Format("[%s] from AS%u", route->path.ToString().c_str(),
@@ -65,8 +56,9 @@ std::string RenderRef(const std::optional<ReferenceRoute>& route) {
                 static_cast<unsigned>(route->learned_from));
 }
 
-// Fast engine state vs oracle state, AS by AS. `fast` is a
-// bgp::PropagationResult or a bgp::DeltaResult (delta-engine output).
+// Fast engine state vs oracle state, AS by AS: path, next hop and class.
+// `fast` is a bgp::PropagationResult, a bgp::DeltaResult (delta-engine
+// output) or a bgp::RoutingTree.
 template <typename FastState>
 void CompareStates(const char* tag, const topo::AsGraph& graph, Asn origin,
                    const FastState& fast,
@@ -82,26 +74,11 @@ void CompareStates(const char* tag, const topo::AsGraph& graph, Asn origin,
          (f->path == r->path && f->learned_from == r->learned_from &&
           f->effective == r->effective));
     if (!same) {
-      out.push_back(Format("diff-%s: AS%u simulator holds %s, oracle %s", tag,
+      out.push_back(Format("diff-%s: AS%u engine holds %s, oracle %s", tag,
                            static_cast<unsigned>(asn),
                            RenderRoute(f).c_str(), RenderRef(r).c_str()));
     }
   }
-}
-
-bgp::RoutingTree::Via ViaOf(const std::optional<ReferenceRoute>& route) {
-  if (!route.has_value()) return bgp::RoutingTree::Via::kNone;
-  switch (route->effective) {
-    case topo::Relation::kCustomer:
-      return bgp::RoutingTree::Via::kCustomer;
-    case topo::Relation::kPeer:
-      return bgp::RoutingTree::Via::kPeer;
-    case topo::Relation::kProvider:
-      return bgp::RoutingTree::Via::kProvider;
-    case topo::Relation::kSibling:
-      break;  // unreachable on sibling-free graphs
-  }
-  return bgp::RoutingTree::Via::kNone;
 }
 
 // The delta engine's outcome vs the Resume oracle (attack::DiffAgainstResume)
@@ -158,7 +135,6 @@ Scenario Fuzzer::ScenarioFor(std::size_t iteration) const {
   s.tier3 = rng.Below(11);
   s.stubs = 4 + rng.Below(33);
   s.content = rng.Below(3);
-  // Half the scenarios are sibling-free so the RoutingTree leg runs.
   s.sibling_pairs = rng.Chance(0.5) ? 1 + rng.Below(2) : 0;
   s.num_monitors = 4 + rng.Below(9);
   s.lambda = 1 + static_cast<int>(rng.Below(6));
@@ -199,26 +175,10 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
   CompareStates("baseline", graph, victim, baseline, ref_before, out);
   Invariants::CheckConvergedState(graph, baseline, out);
 
-  // Leg 2 — RoutingTree (three-phase decomposition) vs oracle: route class
-  // and stored length. Sibling-free graphs only, by RoutingTree's contract.
-  if (!HasSiblingLinks(graph)) {
-    const bgp::RoutingTree tree(graph, announcement);
-    for (std::size_t i = 0; i < graph.NumAses(); ++i) {
-      const Asn asn = graph.AsnAt(i);
-      if (asn == victim) continue;
-      const bgp::RoutingTree::Entry& entry = tree.At(asn);
-      const bgp::RoutingTree::Via want = ViaOf(ref_before[i]);
-      const std::size_t want_len =
-          ref_before[i].has_value() ? ref_before[i]->path.Length() : 0;
-      if (entry.via != want ||
-          (want != bgp::RoutingTree::Via::kNone && entry.length != want_len)) {
-        out.push_back(Format(
-            "diff-tree: AS%u routing_tree says %s/len=%zu, oracle %s/len=%zu",
-            static_cast<unsigned>(asn), bgp::RoutingTree::ViaName(entry.via),
-            entry.length, bgp::RoutingTree::ViaName(want), want_len));
-      }
-    }
-  }
+  // Leg 2 — RoutingTree (the paper's Fig. 2 three-phase algorithm) vs the
+  // same oracle state, route for route.
+  CompareStates("tree", graph, victim, bgp::RoutingTree(graph, announcement),
+                ref_before, out);
 
   // Leg 3 — the interception attack: AttackSimulator (the delta engine) vs
   // the reference oracle end to end.
@@ -243,12 +203,18 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
   // Gao-Rexford uniqueness guarantee, so on rare instances the event-driven
   // engine and the oracle legitimately settle into *different* stable
   // equilibria (e.g. two neighbors each adopting the stripped route the
-  // other then can't see, by sender-side loop avoidance). A mismatch is a
-  // divergence unless the engine's state is provably an alternative
-  // fixpoint: one oracle Step over it changes nothing.
+  // other then can't see, by sender-side loop avoidance), and on a few the
+  // oracle's own iteration does not settle within its cap. A mismatch, or
+  // an unsettled oracle, is a divergence unless the engine's state is
+  // provably an alternative fixpoint: one oracle Step over it changes
+  // nothing.
   Violations attack_diffs;
-  CompareStates("attacked", graph, victim, outcome.after, ref_outcome.after,
-                attack_diffs);
+  if (ref_outcome.settled) {
+    CompareStates("attacked", graph, victim, outcome.after, ref_outcome.after,
+                  attack_diffs);
+  } else {
+    attack_diffs.push_back("diff-attacked: the oracle did not settle");
+  }
   bool alternative_fixpoint = false;
   if (!attack_diffs.empty()) {
     ReferenceAttack ref_attack;

@@ -61,7 +61,7 @@ class Fuzzer {
 
   // Runs one scenario through every differential + invariant check:
   //   * PropagationSimulator vs ReferenceEngine (attack-free fixpoint),
-  //   * RoutingTree vs ReferenceEngine (class + length, sibling-free only),
+  //   * RoutingTree vs the same oracle fixpoint, route for route,
   //   * AttackSimulator vs ReferenceEngine::RunInterception (paths,
   //     fractions, pollution sets),
   //   * Invariants over the converged states and the attack outcome,

@@ -70,10 +70,13 @@ class ReferenceEngine {
   explicit ReferenceEngine(const topo::AsGraph& graph);
 
   // Converged best routes for `announcement`, optionally under `attack`.
-  // Aborts (ASPPI_CHECK) if the fixpoint does not settle — on a Gao-Rexford-
-  // safe topology that is itself a bug worth crashing on.
+  // Sets `*settled` (when given) to whether the fixpoint settled within the
+  // sweep cap. Only an attack can keep it from settling: the attacker's path
+  // rewriting sits outside the Gao-Rexford safety proof. The state is then
+  // the last sweep's, not a fixpoint.
   State Converge(const bgp::Announcement& announcement,
-                 const ReferenceAttack* attack = nullptr) const;
+                 const ReferenceAttack* attack = nullptr,
+                 bool* settled = nullptr) const;
 
   // One full Jacobi round: every AS's best recomputed from its neighbors'
   // routes in `state`. Converge() iterates this to a fixpoint; the stability
@@ -87,6 +90,9 @@ class ReferenceEngine {
   struct Outcome {
     State before;
     State after;
+    // False when the attacked fixpoint did not settle: `after`, and the
+    // accounting below, then describe the last sweep's state.
+    bool settled = true;
     double fraction_before = 0.0;
     double fraction_after = 0.0;
     // ASes whose best path traverses the attacker after but not before, in

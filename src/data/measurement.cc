@@ -36,11 +36,10 @@ RibSnapshot MeasurementGenerator::GenerateRib(
     bgp::Announcement announcement;
     announcement.origin = plan.origin;
     announcement.prepends = plan.primary;
-    bgp::RoutingTree tree(graph_, announcement);
+    const bgp::RoutingTree tree(graph_, announcement);
     for (Asn monitor : monitors) {
-      if (monitor == plan.origin) continue;
-      AsPath path = tree.PathFrom(monitor);
-      if (!path.Empty()) snapshot.tables[monitor][plan.prefix] = std::move(path);
+      std::optional<bgp::Route> best = tree.BestAt(monitor);
+      if (best) snapshot.tables[monitor][plan.prefix] = std::move(best->path);
     }
   }
   return snapshot;
@@ -60,18 +59,18 @@ std::vector<Update> MeasurementGenerator::GenerateUpdates(
     bgp::Announcement announcement;
     announcement.origin = plan.origin;
     announcement.prepends = failover ? plan.backup : plan.primary;
-    bgp::RoutingTree tree(graph_, announcement);
+    const bgp::RoutingTree tree(graph_, announcement);
     for (Asn monitor : monitors) {
       if (monitor == plan.origin) continue;
-      AsPath path = tree.PathFrom(monitor);
+      std::optional<bgp::Route> best = tree.BestAt(monitor);
       Update update;
       update.sequence = sequence++;
       update.monitor = monitor;
       update.prefix = plan.prefix;
-      if (path.Empty()) {
-        update.withdraw = true;
+      if (best) {
+        update.path = std::move(best->path);
       } else {
-        update.path = std::move(path);
+        update.withdraw = true;
       }
       updates.push_back(std::move(update));
     }

@@ -39,8 +39,8 @@ struct MeasurementParams {
   BehaviorParams behavior;
 };
 
-// Generates the corpus on a sibling-free topology (the fast RoutingTree
-// engine computes per-prefix tables).
+// Generates the corpus; the fast bgp::RoutingTree computes each prefix's
+// tables.
 //
 // RIB model: each prefix originates at a random AS whose prepend policy is
 // drawn from the behaviour model; monitors record their converged best paths.

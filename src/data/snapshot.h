@@ -3,8 +3,8 @@
 // baseline routing states.
 //
 // Every batch tool re-reads the as-rel text format and re-converges the
-// victim's baseline on each invocation; the serve subsystem (and the
-// --snapshot fast path of the batch tools) loads this format instead — fixed
+// victim's baseline on each invocation; the serve subsystem (and any tool
+// whose --topo names a snapshot) loads this format instead — fixed
 // width binary records read straight out of an mmap'ed region, no line
 // splitting, no strtol, and optionally no convergence at all when the
 // snapshot carries checkpointed baselines (rebuilt by

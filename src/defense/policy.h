@@ -3,7 +3,7 @@
 // A PolicySet assigns each AS a (possibly empty) set of defensive policies
 // and implements bgp::ImportFilter over them, so both the full
 // PropagationSimulator and the DeltaPropagator honor the deployment
-// identically through the shared engine_detail::AcceptDelivery kernel
+// identically through the shared engine_detail::ExportTo kernel
 // (DESIGN.md §4j). Three policies ship:
 //
 //   kRov            ROV-style origin filtering: drop any announcement whose

@@ -329,16 +329,15 @@ std::vector<AsPath> CollectPaths(const topo::AsGraph& graph,
   for (Asn origin : origins) {
     bgp::Announcement announcement;
     announcement.origin = origin;
-    bgp::RoutingTree tree(graph, announcement);
+    const bgp::RoutingTree tree(graph, announcement);
     for (Asn monitor : monitors) {
-      if (monitor == origin) continue;
-      AsPath path = tree.PathFrom(monitor);
-      if (path.Empty()) continue;
+      std::optional<bgp::Route> best = tree.BestAt(monitor);
+      if (!best) continue;
       // A collector peering with the monitor sees the monitor's own ASN at
       // the front of the exported path (RouteViews convention) — and without
       // it, core peering links (e.g. tier-1 meshes) never appear in the data.
-      path.Prepend(monitor);
-      paths.push_back(std::move(path));
+      best->path.Prepend(monitor);
+      paths.push_back(std::move(best->path));
     }
   }
   return paths;

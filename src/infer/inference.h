@@ -83,7 +83,7 @@ InferenceScore Score(const InferredRelationships& inferred,
                      const topo::AsGraph& truth);
 
 // Collects observation paths: the best route from every monitor to every
-// origin on a (sibling-free) topology, computed with the RoutingTree engine.
+// origin, computed with the RoutingTree engine.
 std::vector<AsPath> CollectPaths(const topo::AsGraph& graph,
                                  std::span<const Asn> monitors,
                                  std::span<const Asn> origins);

@@ -34,6 +34,9 @@ class TierInfo {
   int max_tier_ = 0;
 };
 
+// The result keeps a pointer to `graph`, which must outlive it; hence no
+// temporary graphs.
 TierInfo ClassifyTiers(const AsGraph& graph);
+TierInfo ClassifyTiers(AsGraph&&) = delete;
 
 }  // namespace asppi::topo

@@ -116,7 +116,6 @@ topo::GeneratedTopology MeasurementTopo() {
   params.num_tier3 = 60;
   params.num_stubs = 200;
   params.num_content = 4;
-  params.num_sibling_pairs = 0;  // RoutingTree engine
   return topo::GenerateInternetTopology(params);
 }
 

@@ -88,7 +88,6 @@ topo::GeneratedTopology InferTopo(std::uint64_t seed) {
   params.num_tier3 = 80;
   params.num_stubs = 300;
   params.num_content = 5;
-  params.num_sibling_pairs = 0;  // CollectPaths uses RoutingTree
   return topo::GenerateInternetTopology(params);
 }
 

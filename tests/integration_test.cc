@@ -29,7 +29,6 @@ topo::GeneratedTopology PipelineTopo(std::uint64_t seed) {
   params.num_tier3 = 80;
   params.num_stubs = 300;
   params.num_content = 5;
-  params.num_sibling_pairs = 0;
   return topo::GenerateInternetTopology(params);
 }
 

@@ -2,12 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "bgp/propagation.h"
+#include "data/behavior.h"
 #include "topology/builders.h"
 #include "topology/generator.h"
 #include "util/rng.h"
 
 namespace asppi::bgp {
+
+// Readable failure messages for whole-route comparisons.
+void PrintTo(const Route& route, std::ostream* os) {
+  *os << "[" << route.path.ToString() << "] from AS" << route.learned_from
+      << " (" << topo::RelationName(route.rel) << ", effective "
+      << topo::RelationName(route.effective) << ")";
+}
+
 namespace {
 
 using topo::AsGraph;
@@ -20,49 +32,83 @@ Announcement Announce(Asn origin, int lambda = 1) {
   return ann;
 }
 
+// A route spelled out field by field.
+Route Held(const std::string& path, Asn from, Relation rel,
+           Relation effective) {
+  return Route{*AsPath::FromString(path), from, rel, effective};
+}
+
+Route Held(const std::string& path, Asn from, Relation rel) {
+  return Held(path, from, rel, rel);
+}
+
+// Every AS's tree route equals the one Run converges to, field for field.
+void ExpectSameRoutesAsRun(const AsGraph& graph, const Announcement& ann) {
+  const RoutingTree tree(graph, ann);
+  const PropagationResult run = PropagationSimulator(graph).Run(ann);
+  std::size_t differing = 0;
+  for (topo::AsId id = 0; id < graph.NumAses(); ++id) {
+    const Asn asn = graph.AsnAt(id);
+    const std::optional<Route> got = tree.BestAt(asn);
+    if (got == run.BestAt(asn)) continue;
+    if (++differing <= 5) {
+      ADD_FAILURE() << "origin AS" << ann.origin << ", AS" << asn
+                    << ": tree " << ::testing::PrintToString(got) << ", Run "
+                    << ::testing::PrintToString(run.BestAt(asn));
+    }
+  }
+  EXPECT_EQ(differing, 0u) << "origin AS" << ann.origin;
+}
+
 TEST(RoutingTree, ChainClasses) {
-  AsGraph g = topo::ProviderChain(4);
-  RoutingTree tree(g, Announce(1));
-  EXPECT_EQ(tree.At(1).via, RoutingTree::Via::kSelf);
-  EXPECT_EQ(tree.At(2).via, RoutingTree::Via::kCustomer);
-  EXPECT_EQ(tree.At(4).via, RoutingTree::Via::kCustomer);
-  EXPECT_EQ(tree.At(4).length, 3u);
-  EXPECT_EQ(tree.PathFrom(4).ToString(), "3 2 1");
+  const AsGraph g = topo::ProviderChain(4);
+  const Announcement ann = Announce(1);
+  const RoutingTree tree(g, ann);
+  EXPECT_FALSE(tree.BestAt(1).has_value());  // the origin
+  EXPECT_EQ(tree.BestAt(2), Held("1", 1, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(4), Held("3 2 1", 3, Relation::kCustomer));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
 TEST(RoutingTree, DownhillClasses) {
-  AsGraph g = topo::ProviderChain(4);
-  RoutingTree tree(g, Announce(4));
-  EXPECT_EQ(tree.At(1).via, RoutingTree::Via::kProvider);
-  EXPECT_EQ(tree.At(1).length, 3u);
-  EXPECT_EQ(tree.PathFrom(1).ToString(), "2 3 4");
+  const AsGraph g = topo::ProviderChain(4);
+  const Announcement ann = Announce(4);
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(3), Held("4", 4, Relation::kProvider));
+  EXPECT_EQ(tree.BestAt(1), Held("2 3 4", 2, Relation::kProvider));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
 TEST(RoutingTree, PeerPhase) {
-  AsGraph g = topo::PeerClique(3);
-  RoutingTree tree(g, Announce(1));
-  EXPECT_EQ(tree.At(2).via, RoutingTree::Via::kPeer);
-  EXPECT_EQ(tree.At(3).via, RoutingTree::Via::kPeer);
-  EXPECT_EQ(tree.At(2).length, 1u);
+  const AsGraph g = topo::PeerClique(3);
+  const Announcement ann = Announce(1);
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(2), Held("1", 1, Relation::kPeer));
+  EXPECT_EQ(tree.BestAt(3), Held("1", 1, Relation::kPeer));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
 TEST(RoutingTree, PrependingCountsInLength) {
-  AsGraph g = topo::ProviderChain(3);
-  RoutingTree tree(g, Announce(1, 4));
-  EXPECT_EQ(tree.At(2).length, 4u);
-  EXPECT_EQ(tree.At(3).length, 5u);
-  EXPECT_EQ(tree.PathFrom(3).ToString(), "2 1 1 1 1");
+  const AsGraph g = topo::ProviderChain(3);
+  const Announcement ann = Announce(1, 4);
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(2), Held("1 1 1 1", 1, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(3), Held("2 1 1 1 1", 2, Relation::kCustomer));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
 TEST(RoutingTree, PerNeighborPrepends) {
-  AsGraph g = topo::DualHomedStub();
+  const AsGraph g = topo::DualHomedStub();
   Announcement ann;
   ann.origin = 100;
   ann.prepends.SetForNeighbor(100, 11, 3);
-  RoutingTree tree(g, ann);
-  EXPECT_EQ(tree.At(11).length, 3u);
-  EXPECT_EQ(tree.At(12).length, 1u);
-  EXPECT_EQ(tree.PathFrom(11).ToString(), "100 100 100");
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(11), Held("100 100 100", 100, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(12), Held("100", 100, Relation::kCustomer));
+  // Tier-1 AS1 hears the padded route from its customer 11 and the short
+  // one over its peer 2: customer class wins over length.
+  EXPECT_EQ(tree.BestAt(1), Held("11 100 100 100", 11, Relation::kCustomer));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
 TEST(RoutingTree, UnreachableMarkedNone) {
@@ -70,24 +116,74 @@ TEST(RoutingTree, UnreachableMarkedNone) {
   b.AddLink(2, 1, Relation::kCustomer);
   b.AddLink(2, 3, Relation::kPeer);
   b.AddLink(3, 4, Relation::kPeer);
-  AsGraph g = b.Freeze();
-  RoutingTree tree(g, Announce(1));
-  EXPECT_EQ(tree.At(4).via, RoutingTree::Via::kNone);
-  EXPECT_TRUE(tree.PathFrom(4).Empty());
+  const AsGraph g = b.Freeze();
+  const Announcement ann = Announce(1);
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(3), Held("2 1", 2, Relation::kPeer));
+  // 3's route is peer class, which is not exported to a peer.
+  EXPECT_FALSE(tree.BestAt(4).has_value());
+  ExpectSameRoutesAsRun(g, ann);
 }
 
-TEST(RoutingTree, RejectsSiblingGraphs) {
+TEST(RoutingTree, SiblingLinksCarryEachClass) {
+  // Origin 10 has provider 1 and sibling 11. AS1's sibling 2 (customer
+  // class), its peer 3 with 3's sibling 4 (peer class) and its customer 5
+  // with 5's sibling 6 (provider class) each hear the route over a sibling
+  // link in the class the sibling holds it.
   topo::GraphBuilder b;
+  b.AddLink(1, 10, Relation::kCustomer);
+  b.AddLink(10, 11, Relation::kSibling);
   b.AddLink(1, 2, Relation::kSibling);
-  b.AddLink(3, 1, Relation::kCustomer);
-  AsGraph g = b.Freeze();
-  EXPECT_DEATH(RoutingTree(g, Announce(3)), "sibling");
+  b.AddLink(1, 3, Relation::kPeer);
+  b.AddLink(3, 4, Relation::kSibling);
+  b.AddLink(1, 5, Relation::kCustomer);
+  b.AddLink(5, 6, Relation::kSibling);
+  const AsGraph g = b.Freeze();
+  const Announcement ann = Announce(10, 2);
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(11),
+            Held("10 10", 10, Relation::kSibling, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(2),
+            Held("1 10 10", 1, Relation::kSibling, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(3), Held("1 10 10", 1, Relation::kPeer));
+  EXPECT_EQ(tree.BestAt(4),
+            Held("3 1 10 10", 3, Relation::kSibling, Relation::kPeer));
+  EXPECT_EQ(tree.BestAt(5), Held("1 10 10", 1, Relation::kProvider));
+  EXPECT_EQ(tree.BestAt(6),
+            Held("5 1 10 10", 5, Relation::kSibling, Relation::kProvider));
+  ExpectSameRoutesAsRun(g, ann);
 }
 
-// --- cross-check: the two engines agree on attack-free scenarios ------------
+TEST(RoutingTree, EqualLengthsGoToTheLowerNeighborAsn) {
+  // AS9 (one hop from origin 1, but padding 2) and AS5 (two hops, no
+  // padding) offer equally long routes to their common provider 100 and to
+  // their common customer 200. The decision process takes the lower
+  // neighbor ASN, 5, in both the customer (uphill) and provider (downhill)
+  // phases, even though AS9 is settled first.
+  topo::GraphBuilder b;
+  b.AddLink(9, 1, Relation::kCustomer);
+  b.AddLink(8, 1, Relation::kCustomer);
+  b.AddLink(5, 8, Relation::kCustomer);
+  b.AddLink(100, 9, Relation::kCustomer);
+  b.AddLink(100, 5, Relation::kCustomer);
+  b.AddLink(9, 200, Relation::kCustomer);
+  b.AddLink(5, 200, Relation::kCustomer);
+  const AsGraph g = b.Freeze();
+  Announcement ann = Announce(1);
+  ann.prepends.SetDefault(9, 2);  // intermediary prepending
+  const RoutingTree tree(g, ann);
+  EXPECT_EQ(tree.BestAt(100), Held("5 8 1", 5, Relation::kCustomer));
+  EXPECT_EQ(tree.BestAt(200), Held("5 8 1", 5, Relation::kProvider));
+  ExpectSameRoutesAsRun(g, ann);
+}
+
+// --- cross-check: the tree holds Run's routes on generated topologies ------
 
 class EngineAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Whole routes — class, length, path and next hop — on topologies with
+// sibling pairs, for uniform λ and for the measurement corpus's behaviour
+// model (per-neighbor and intermediary prepending).
 TEST_P(EngineAgreement, ClassAndLengthMatchPropagation) {
   topo::GeneratorParams params;
   params.seed = GetParam();
@@ -96,46 +192,27 @@ TEST_P(EngineAgreement, ClassAndLengthMatchPropagation) {
   params.num_tier3 = 80;
   params.num_stubs = 250;
   params.num_content = 5;
-  params.num_sibling_pairs = 0;  // RoutingTree does not support siblings
-  auto gen = topo::GenerateInternetTopology(params);
-  PropagationSimulator sim(gen.graph);
+  params.num_sibling_pairs = 20;
+  const topo::GeneratedTopology gen = topo::GenerateInternetTopology(params);
   util::Rng rng(util::DeriveSeed(GetParam(), 1));
 
   for (int trial = 0; trial < 3; ++trial) {
-    Asn origin = rng.Pick(gen.graph.Ases());
-    int lambda = 1 + static_cast<int>(rng.Below(4));
-    Announcement ann = Announce(origin, lambda);
-    PropagationResult prop = sim.Run(ann);
-    RoutingTree tree(gen.graph, ann);
-
-    for (Asn asn : gen.graph.Ases()) {
-      if (asn == origin) continue;
-      const auto& best = prop.BestAt(asn);
-      const RoutingTree::Entry& entry = tree.At(asn);
-      if (!best.has_value()) {
-        EXPECT_EQ(entry.via, RoutingTree::Via::kNone) << "AS" << asn;
-        continue;
-      }
-      RoutingTree::Via expected_via = RoutingTree::Via::kNone;
-      switch (best->rel) {
-        case Relation::kCustomer:
-          expected_via = RoutingTree::Via::kCustomer;
-          break;
-        case Relation::kPeer:
-          expected_via = RoutingTree::Via::kPeer;
-          break;
-        case Relation::kProvider:
-          expected_via = RoutingTree::Via::kProvider;
-          break;
-        case Relation::kSibling:
-          break;
-      }
-      EXPECT_EQ(entry.via, expected_via)
-          << "AS" << asn << " path " << best->path.ToString();
-      EXPECT_EQ(entry.length, best->path.Length())
-          << "AS" << asn << " prop=" << best->path.ToString()
-          << " tree=" << tree.PathFrom(asn).ToString();
-    }
+    const Asn origin = rng.Pick(gen.graph.Ases());
+    ExpectSameRoutesAsRun(gen.graph,
+                          Announce(origin, 1 + static_cast<int>(rng.Below(4))));
+  }
+  // Higher prepending rates than the corpus's (origins 0.9 against 0.15,
+  // intermediaries 0.1 against 0.01), so ties between differently padded
+  // paths are common.
+  data::BehaviorParams behavior;
+  behavior.prepend_prob = 0.9;
+  behavior.intermediary_prob = 0.1;
+  const data::AsppBehaviorModel model(behavior, GetParam());
+  for (int trial = 0; trial < 6; ++trial) {
+    Announcement ann;
+    ann.origin = rng.Pick(gen.graph.Ases());
+    model.BuildPolicy(gen.graph, ann.origin, rng, ann.prepends);
+    ExpectSameRoutesAsRun(gen.graph, ann);
   }
 }
 
@@ -150,12 +227,29 @@ TEST(RoutingTree, ReachableCountMatchesPropagation) {
   params.num_tier3 = 40;
   params.num_stubs = 100;
   params.num_content = 2;
-  params.num_sibling_pairs = 0;
-  auto gen = topo::GenerateInternetTopology(params);
-  Announcement ann = Announce(gen.stubs[0], 2);
-  PropagationSimulator sim(gen.graph);
-  EXPECT_EQ(RoutingTree(gen.graph, ann).ReachableCount(),
-            sim.Run(ann).ReachableCount());
+  const topo::GeneratedTopology gen = topo::GenerateInternetTopology(params);
+  const Announcement ann = Announce(gen.stubs[0], 2);
+  const RoutingTree tree(gen.graph, ann);
+  std::size_t reachable = 0;
+  for (const Asn asn : gen.graph.Ases()) reachable += tree.BestAt(asn) ? 1 : 0;
+  EXPECT_EQ(reachable, PropagationSimulator(gen.graph).Run(ann).ReachableCount());
+}
+
+TEST(RoutingTree, MatchesRunOnEveryAsAtInternet2026) {
+  // The scale oracle gate: ~100k ASes with 400 sibling pairs, a stub victim
+  // at uniform λ=3 and one under a behaviour-model policy.
+  const topo::GeneratedTopology gen =
+      topo::GenerateInternetTopology(topo::Internet2026Params());
+  ExpectSameRoutesAsRun(gen.graph, Announce(gen.stubs[0], 3));
+
+  util::Rng rng(util::DeriveSeed(2026, 1));
+  data::BehaviorParams behavior;
+  behavior.prepend_prob = 1.0;
+  const data::AsppBehaviorModel model(behavior, 2026);
+  Announcement ann;
+  ann.origin = gen.stubs[1];
+  model.BuildPolicy(gen.graph, ann.origin, rng, ann.prepends);
+  ExpectSameRoutesAsRun(gen.graph, ann);
 }
 
 }  // namespace

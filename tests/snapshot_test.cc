@@ -181,7 +181,7 @@ TEST(Snapshot, RoundTripsInternet2026BaselinesExactly) {
 }
 
 TEST(Snapshot, WarmStartedAttackMatchesColdRun) {
-  // The acceptance property behind --snapshot fast paths: an attack resumed
+  // The acceptance property behind snapshot fast paths: an attack resumed
   // from a loaded checkpoint is bit-identical to one whose baseline was
   // converged from scratch.
   const auto gen = SmallTopology(13);

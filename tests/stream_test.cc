@@ -106,7 +106,6 @@ Corpus MakeCorpus(std::uint64_t seed, std::size_t attacks,
   params.num_tier3 = 80;
   params.num_stubs = 250;
   params.num_content = 5;
-  params.num_sibling_pairs = 0;  // measurement engine is RoutingTree-based
   Corpus corpus;
   corpus.gen = topo::GenerateInternetTopology(params);
   corpus.monitors = detect::TopDegreeMonitors(corpus.gen.graph, 8);

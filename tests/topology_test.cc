@@ -342,7 +342,8 @@ TEST(Tiers, ChainTiers) {
 TEST(Tiers, SiblingInheritsTier) {
   GraphBuilder b = ProviderChain(3).ToBuilder();
   b.AddLink(3, 77, Relation::kSibling);
-  TierInfo tiers = ClassifyTiers(b.Freeze());
+  const AsGraph g = b.Freeze();
+  TierInfo tiers = ClassifyTiers(g);
   EXPECT_EQ(tiers.TierOf(77), 1);
 }
 

@@ -19,9 +19,6 @@ int main(int argc, char** argv) {
   e.WithThreadsFlag();
   e.Flags().DefineString("topo", "topology.topo",
                          "as-rel topology file or binary snapshot");
-  e.Flags().DefineString("snapshot", "",
-                         "binary snapshot (asppi_snapshot output) to load "
-                         "instead of --topo (mmap fast path)");
   e.Flags().DefineUint("victim", 0, "victim ASN (prefix owner)");
   e.Flags().DefineUint("attacker", 0,
                        "attacker ASN (0 = sweep every AS as the attacker)");
@@ -35,10 +32,8 @@ int main(int argc, char** argv) {
 
   topo::AsGraph loaded_graph;
   data::Snapshot snapshot;
-  const std::string& snapshot_path = e.Flags().GetString("snapshot");
   const topo::AsGraph* graph_ptr = e.LoadTopologyOrSnapshot(
-      snapshot_path.empty() ? e.Flags().GetString("topo") : snapshot_path,
-      &loaded_graph, &snapshot);
+      e.Flags().GetString("topo"), &loaded_graph, &snapshot);
   if (graph_ptr == nullptr) return 1;
   const topo::AsGraph& graph = *graph_ptr;
   topo::Asn victim = 0;

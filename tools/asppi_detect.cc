@@ -44,9 +44,6 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("topo", "",
                          "as-rel topology file or binary snapshot (enables "
                          "hint rules)");
-  e.Flags().DefineString("snapshot", "",
-                         "binary snapshot (asppi_snapshot output) to load "
-                         "instead of --topo (mmap fast path)");
   e.Flags().DefineString("before", "",
                          "RIB snapshot before the change (.rib)");
   e.Flags().DefineString("after", "", "RIB snapshot after the change (.rib)");
@@ -67,14 +64,9 @@ int main(int argc, char** argv) {
   topo::AsGraph loaded_graph;
   data::Snapshot topo_snapshot;
   const topo::AsGraph* graph = nullptr;
-  {
-    const std::string& snapshot_path = e.Flags().GetString("snapshot");
-    const std::string& path =
-        snapshot_path.empty() ? e.Flags().GetString("topo") : snapshot_path;
-    if (!path.empty()) {
-      graph = e.LoadTopologyOrSnapshot(path, &loaded_graph, &topo_snapshot);
-      if (graph == nullptr) return 1;
-    }
+  if (const std::string& path = e.Flags().GetString("topo"); !path.empty()) {
+    graph = e.LoadTopologyOrSnapshot(path, &loaded_graph, &topo_snapshot);
+    if (graph == nullptr) return 1;
   }
 
   data::RibSnapshot before, after;

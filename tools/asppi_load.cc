@@ -1,6 +1,6 @@
 // asppi_load — open-loop load generator for a running asppi_serve.
 //
-//   $ asppi_serve --snapshot=topology.snap --port-file=port.txt &
+//   $ asppi_serve --topo=topology.snap --port-file=port.txt &
 //   $ asppi_load --port=$(cat port.txt) --rate=500 --duration=2 --conns=16
 //
 // Drives a Poisson request stream (exponential inter-arrival gaps) of the

@@ -2,7 +2,7 @@
 // (or an as-rel text topology), speaking newline-delimited JSON over TCP.
 //
 //   $ asppi_snapshot --topo=topology.topo --out=topology.snap --baselines=3831
-//   $ asppi_serve --snapshot=topology.snap --port=4179 &
+//   $ asppi_serve --topo=topology.snap --port=4179 &
 //   $ printf '{"op":"impact","victim":3831,"attacker":7}\n' | nc localhost 4179
 //
 // Request types: impact, detect, route, defense, strategy, stats, health,
@@ -49,10 +49,8 @@ int main(int argc, char** argv) {
                       "what-if query daemon (NDJSON over TCP) on a snapshot");
   e.WithThreadsFlag();
   e.Flags().DefineString("topo", "",
-                         "as-rel topology file or binary snapshot");
-  e.Flags().DefineString("snapshot", "",
-                         "binary snapshot (asppi_snapshot output) to serve "
-                         "(overrides --topo)");
+                         "binary snapshot (asppi_snapshot output) or as-rel "
+                         "topology file to serve");
   e.Flags().DefineUint("shards", 2, "event-loop shard count");
   e.Flags().DefineUint("port", 0, "TCP port (0 = pick an ephemeral port)");
   e.Flags().DefineString("port-file", "",
@@ -81,11 +79,9 @@ int main(int argc, char** argv) {
   int lambda = 0;
   if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
-  const std::string& snapshot_path = e.Flags().GetString("snapshot");
-  const std::string& path =
-      snapshot_path.empty() ? e.Flags().GetString("topo") : snapshot_path;
+  const std::string& path = e.Flags().GetString("topo");
   if (path.empty()) {
-    std::fprintf(stderr, "need --snapshot (or --topo)\n");
+    std::fprintf(stderr, "need --topo\n");
     return 1;
   }
 

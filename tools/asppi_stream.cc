@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("topo", "",
                          "as-rel topology file or binary snapshot (enables "
                          "hint rules; --gen uses the generated graph)");
-  e.Flags().DefineString("snapshot", "",
-                         "binary snapshot (asppi_snapshot output) to load "
-                         "instead of --topo (mmap fast path)");
   e.Flags().DefineUint("victim", 0,
                        "report alarms only for this prefix owner (0 = all)");
   e.Flags().DefineInt("lambda", 0,
@@ -61,9 +58,7 @@ int main(int argc, char** argv) {
   const topo::AsGraph* graph = nullptr;
 
   if (e.Flags().GetBool("gen")) {
-    topo::GeneratorParams params = e.Params();
-    params.num_sibling_pairs = 0;  // measurement engine is RoutingTree-based
-    const topo::GeneratedTopology& gen = e.GenerateTopology(params);
+    const topo::GeneratedTopology& gen = e.GenerateTopology();
     graph = &gen.graph;
     const std::vector<topo::Asn> monitors = detect::TopDegreeMonitors(
         gen.graph, static_cast<std::size_t>(e.Flags().GetUint("monitors")));
@@ -95,10 +90,8 @@ int main(int argc, char** argv) {
                    e.Flags().GetString("upd").c_str(), err.c_str());
       return 1;
     }
-    const std::string& snapshot_path = e.Flags().GetString("snapshot");
-    const std::string& topo_path =
-        snapshot_path.empty() ? e.Flags().GetString("topo") : snapshot_path;
-    if (!topo_path.empty()) {
+    if (const std::string& topo_path = e.Flags().GetString("topo");
+        !topo_path.empty()) {
       graph = e.LoadTopologyOrSnapshot(topo_path, &file_graph, &topo_snapshot);
       if (graph == nullptr) return 1;
     }
