@@ -1,4 +1,5 @@
-// BaselineCache: memoizes converged attack-free propagation states.
+// BaselineCache: memoizes converged attack-free propagation states, and is
+// the one place an attack's baseline comes from.
 //
 // Every attack experiment starts from the victim's attack-free converged
 // routing state — and the sweeps behind Figs. 7–14 re-derive that same state
@@ -6,23 +7,24 @@
 // against one attack, every training attacker in the placement optimizer.
 // The baseline depends only on (origin, prepend policy), never on the
 // attacker, so it is memoized here and handed out as
-// shared_ptr<const PropagationResult>; AttackSimulator then warm-starts each
-// attack from it through bgp::DeltaPropagator::Propagate().
+// shared_ptr<const PropagationResult>; AttackSimulator (which owns a cache
+// when its caller passes none) then warm-starts each attack from it through
+// bgp::DeltaPropagator::Propagate().
 //
 // Alongside the converged state, each entry carries a bgp::TraversalIndex
-// built once per baseline: it answers "how many ASes route through x?" in
-// O(1), which the delta engine's pollution accounting consults per attack
-// instead of re-scanning all n best paths.
+// built once per baseline from its best-route tree: subtree sizes that
+// answer "how many ASes route through x (or through any of these
+// colluders)?" and "how many ASes hold a route?" in O(1) per AS, which the
+// attack accounting consults instead of re-scanning all n best paths.
 //
 // Thread-safe: concurrent GetEntry() calls for the same announcement compute
 // the baseline exactly once (later callers block on the first caller's run);
 // distinct announcements compute concurrently. Entries are never evicted or
-// replaced, so GetRef()'s const reference stays valid for the cache's
-// lifetime — the serve hot path reads the retained state in place with no
-// per-query copy. Effectiveness is observable through the process-wide
-// metrics registry — "attack.baseline_cache.hits" / ".misses" counters and
-// the ".compute" timer (util/metrics.h); a same-victim λ-sweep must add
-// exactly one miss per λ.
+// replaced; a caller that reads a state pins it by holding the entry's
+// shared_ptr. Effectiveness is observable through the process-wide metrics
+// registry — "attack.baseline_cache.hits" / ".misses" counters and the
+// ".compute" timer (util/metrics.h); a same-victim λ-sweep must add exactly
+// one miss per λ.
 #pragma once
 
 #include <cstddef>
@@ -54,16 +56,12 @@ class BaselineCache {
   // policy).
   BaselineEntry GetEntry(const bgp::Announcement& announcement);
 
-  // Convenience: just the converged state.
+  // GetEntry(announcement).state. Kept only for perfbench/main.cc, which
+  // calls it and changes together with the benchmark; everything in src/,
+  // tools/ and tests/ reads GetEntry.
   std::shared_ptr<const bgp::PropagationResult> Get(
       const bgp::Announcement& announcement) {
     return GetEntry(announcement).state;
-  }
-
-  // The retained converged state by reference — no shared_ptr bump, no copy.
-  // Valid for the cache's lifetime (entries are never evicted or replaced).
-  const bgp::PropagationResult& GetRef(const bgp::Announcement& announcement) {
-    return *GetEntry(announcement).state;
   }
 
   // Pre-seeds the entry for `baseline`'s announcement (snapshot warm-load:

@@ -38,13 +38,14 @@ double PollutionDenominator(const topo::AsGraph& graph,
 AttackSimulator::AttackSimulator(const topo::AsGraph& graph,
                                  BaselineCache* baseline_cache)
     : graph_(graph),
-      engine_(graph),
       delta_engine_(graph),
-      baseline_cache_(baseline_cache) {
-  if (baseline_cache_ != nullptr) {
-    ASPPI_CHECK(&baseline_cache_->Graph() == &graph)
-        << "baseline cache built on a different graph";
-  }
+      owned_cache_(baseline_cache == nullptr
+                       ? std::make_unique<BaselineCache>(graph)
+                       : nullptr),
+      baseline_cache_(baseline_cache != nullptr ? baseline_cache
+                                                : owned_cache_.get()) {
+  ASPPI_CHECK(&baseline_cache_->Graph() == &graph)
+      << "baseline cache built on a different graph";
 }
 
 AttackOutcome AttackSimulator::RunWithTransform(
@@ -68,50 +69,34 @@ AttackOutcome AttackSimulator::RunWithTransform(
   outcome.colluders.assign(colluders.begin(), colluders.end());
   outcome.lambda = lambda;
 
-  std::shared_ptr<const bgp::TraversalIndex> traversal;
-  if (baseline_cache_ != nullptr) {
-    BaselineEntry entry = baseline_cache_->GetEntry(announcement);
-    outcome.before = std::move(entry.state);
-    traversal = std::move(entry.traversal);
-  } else {
-    outcome.before = std::make_shared<const bgp::PropagationResult>(
-        engine_.Run(announcement));
-  }
-
-  const double denom = PollutionDenominator(graph_, colluders);
+  const BaselineEntry entry = baseline_cache_->GetEntry(announcement);
+  outcome.before = entry.state;
   const std::vector<Asn> dirty(colluders.begin(), colluders.end());
-  if (traversal == nullptr) {
-    traversal = std::make_shared<const bgp::TraversalIndex>(*outcome.before);
-  }
   bgp::DeltaResult delta =
       delta_engine_.Propagate(outcome.before, &transform, dirty, filter);
   outcome.converged = delta.Converged();
 
-  // Incremental pollution accounting: only touched ASes can change traversal
-  // membership, so adjust the baseline's count over the wavefront instead of
-  // re-scanning all n best paths. Touched indices are ascending, so
-  // newly_polluted comes out in dense-index order — the order the oracle's
-  // dense scan (DiffAgainstResume) produces.
+  // Incremental accounting: only touched ASes can change their route or
+  // their traversal membership, so the traversal index's baseline counts are
+  // adjusted over the wavefront instead of re-scanning all n best paths.
+  // Touched indices are ascending, so newly_polluted comes out in dense-index
+  // order — the order the oracle's dense scan (DiffAgainstResume) produces.
   const auto& base_best = outcome.before->BestRoutes();
-  std::size_t before_count;
-  if (colluders.size() == 1) {
-    before_count = traversal->TraversingCount(attacker);
-  } else {
-    // The traversal index is single-ASN; a colluding set takes one dense
-    // scan of the baseline. Nothing caches it: it runs on every call.
-    before_count = 0;
-    for (std::size_t index = 0; index < base_best.size(); ++index) {
-      const Asn asn = graph_.AsnAt(static_cast<std::uint32_t>(index));
-      if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
-      if (TraversesAny(base_best[index], colluders)) ++before_count;
-    }
-  }
+  const std::size_t before_count = entry.traversal->TraversingCount(colluders);
   std::size_t after_count = before_count;
+  outcome.reachable_before = entry.traversal->ReachableCount();
+  outcome.reachable_after = outcome.reachable_before;
   for (std::uint32_t index : delta.TouchedIndices()) {
     const Asn asn = graph_.AsnAt(index);
-    if (asn == announcement.origin || IsColluder(asn, colluders)) continue;
-    const bool was_p = TraversesAny(base_best[index], colluders);
-    const bool now_p = TraversesAny(delta.BestAtIndex(index), colluders);
+    if (asn == announcement.origin) continue;
+    const std::optional<bgp::Route>& was = base_best[index];
+    const std::optional<bgp::Route>& now = delta.BestAtIndex(index);
+    // Reachability counts colluders; pollution does not.
+    outcome.reachable_after += now.has_value() ? 1 : 0;
+    outcome.reachable_after -= was.has_value() ? 1 : 0;
+    if (IsColluder(asn, colluders)) continue;
+    const bool was_p = TraversesAny(was, colluders);
+    const bool now_p = TraversesAny(now, colluders);
     if (now_p && !was_p) {
       ++after_count;
       outcome.newly_polluted.push_back(asn);
@@ -119,6 +104,7 @@ AttackOutcome AttackSimulator::RunWithTransform(
       --after_count;
     }
   }
+  const double denom = PollutionDenominator(graph_, colluders);
   if (denom > 0.0) {
     outcome.fraction_before = static_cast<double>(before_count) / denom;
     outcome.fraction_after = static_cast<double>(after_count) / denom;
@@ -198,13 +184,9 @@ std::vector<PairImpact> RunPairSweep(
     const topo::AsGraph& graph,
     const std::vector<std::pair<Asn, Asn>>& attacker_victim_pairs,
     const PairSweepOptions& options) {
-  // Even a serial, cache-less call benefits from memoizing baselines within
-  // the sweep: every attacker against a repeated victim reuses one Run().
-  BaselineCache local_cache(graph);
-  BaselineCache* cache = options.baseline_cache != nullptr
-                             ? options.baseline_cache
-                             : &local_cache;
-  AttackSimulator simulator(graph, cache);
+  // Without a shared cache the simulator owns one for this call, so every
+  // attacker against a repeated victim still reuses one baseline.
+  const AttackSimulator simulator(graph, options.baseline_cache);
 
   std::vector<PairImpact> results(attacker_victim_pairs.size());
   util::ParallelFor(
@@ -290,6 +272,14 @@ std::string DiffAgainstResume(const AttackOutcome& outcome,
         static_cast<std::size_t>(got_it - outcome.newly_polluted.begin()),
         render(got_it, outcome.newly_polluted).c_str(),
         render(want_it, newly_polluted).c_str());
+  }
+  if (outcome.reachable_before != before.ReachableCount()) {
+    return util::Format("reachable_before: outcome %zu, dense %zu",
+                        outcome.reachable_before, before.ReachableCount());
+  }
+  if (outcome.reachable_after != want.ReachableCount()) {
+    return util::Format("reachable_after: outcome %zu, Resume %zu",
+                        outcome.reachable_after, want.ReachableCount());
   }
   return "";
 }

@@ -33,9 +33,8 @@ struct AttackOutcome {
   // maximum, not the dead-configuration default.
   int lambda = 1;
 
-  // Converged, attack-free. Shared: when an AttackSimulator runs with a
-  // BaselineCache, every outcome against the same victim/policy points at
-  // one memoized state instead of owning a recomputed copy.
+  // Converged, attack-free: the BaselineCache entry's state, so every
+  // outcome against the same victim/policy points at one memoized state.
   std::shared_ptr<const bgp::PropagationResult> before;
   // Converged under the attack: the delta engine's sparse overlay over
   // `before`. Query API mirrors PropagationResult; call .Materialize() where
@@ -60,15 +59,21 @@ struct AttackOutcome {
   // ASes polluted by the attack: best path traverses a colluder after the
   // attack but did not before.
   std::vector<Asn> newly_polluted;
+
+  // ASes (colluders included, origin excluded) holding any route before and
+  // after the attack.
+  std::size_t reachable_before = 0;
+  std::size_t reachable_after = 0;
 };
 
 class AttackSimulator {
  public:
   // `baseline_cache` (optional, non-owning) memoizes the attack-free
-  // baselines across runs; it must outlive the simulator and be built on the
-  // same graph. Without a cache every run computes its own baseline. Attacked
-  // states always come from the delta engine (bgp::DeltaPropagator) over the
-  // baseline; DiffAgainstResume below checks one against the full engine.
+  // baselines across simulators; it must outlive the simulator and be built
+  // on the same graph. Without one the simulator owns a cache, so its own
+  // runs against one victim still share a baseline. Attacked states always
+  // come from the delta engine (bgp::DeltaPropagator) over the baseline;
+  // DiffAgainstResume below checks one against the full engine.
   explicit AttackSimulator(const topo::AsGraph& graph,
                            BaselineCache* baseline_cache = nullptr);
 
@@ -114,9 +119,7 @@ class AttackSimulator {
                                        const bgp::ImportFilter* filter =
                                            nullptr) const;
 
-  const bgp::PropagationSimulator& Engine() const { return engine_; }
   const topo::AsGraph& Graph() const { return graph_; }
-  BaselineCache* GetBaselineCache() const { return baseline_cache_; }
 
  private:
   AttackOutcome RunWithTransform(const bgp::Announcement& announcement,
@@ -129,22 +132,24 @@ class AttackSimulator {
   int RecordedLambda(const bgp::Announcement& announcement) const;
 
   const topo::AsGraph& graph_;
-  bgp::PropagationSimulator engine_;
   bgp::DeltaPropagator delta_engine_;
-  BaselineCache* baseline_cache_ = nullptr;
+  // Set only when the caller passed no cache.
+  std::unique_ptr<BaselineCache> owned_cache_;
+  // Where every baseline comes from: the caller's cache or `owned_cache_`.
+  BaselineCache* baseline_cache_;
 };
 
 // The test oracle for every attacked state: re-runs the attack with
 // PropagationSimulator::Resume over `outcome.before` (the outcome's colluders
 // as the dirty set, `transform` and `filter` in effect), re-derives pollution
-// with one dense any-colluder scan, and compares bit for bit — `converged`,
-// then the two states through bgp::FirstDifference (round count, every best
-// route, change round and Adj-RIB-In slot), both fractions and
-// `newly_polluted`. Returns "" when the outcome matches,
-// else one line naming the first difference. `transform` must be a fresh
-// instance equivalent to the one that produced `outcome` (transforms may
-// carry per-run state). O(n + E) plus a full-engine resume: for tests and
-// verify modes, never for serving.
+// with one dense any-colluder scan and reachability with dense counts, and
+// compares bit for bit — `converged`, then the two states through
+// bgp::FirstDifference (round count, every best route, change round and
+// Adj-RIB-In slot), both fractions, `newly_polluted` and both reachable
+// counts. Returns "" when the outcome matches, else one line naming the
+// first difference. `transform` must be a fresh instance equivalent to the
+// one that produced `outcome` (transforms may carry per-run state). O(n + E)
+// plus a full-engine resume: for tests and verify modes, never for serving.
 std::string DiffAgainstResume(const AttackOutcome& outcome,
                               bgp::RouteTransform& transform,
                               const bgp::ImportFilter* filter = nullptr);
@@ -165,8 +170,9 @@ struct PairSweepOptions {
   // Parallelism (null = serial). Rows are computed into input-index slots and
   // sorted with a total order, so output is identical for any thread count.
   util::ThreadPool* pool = nullptr;
-  // Baseline memoization (null = an internal cache private to this call —
-  // repeated victims warm-start either way; pass one to share across calls).
+  // Baseline memoization (null = the sweep's simulator owns a cache private
+  // to this call — repeated victims warm-start either way; pass one to share
+  // across calls).
   BaselineCache* baseline_cache = nullptr;
   // Import filter active during the attacked re-convergence (non-owning;
   // typically a defense::PolicySet). Baselines are computed filterless — see

@@ -38,29 +38,52 @@ DeltaMetrics& Instr() {
 // --- TraversalIndex ---------------------------------------------------------
 
 TraversalIndex::TraversalIndex(const PropagationResult& baseline)
-    : graph_(&baseline.Graph()) {
+    : graph_(&baseline.Graph()),
+      origin_(graph_->IndexOf(baseline.GetAnnouncement().origin)) {
+  const PropagationResult::Checkpoint checkpoint = baseline.ToCheckpoint();
+  topo::AsId cycle_at = 0;
+  const std::optional<std::vector<topo::AsId>> order =
+      checkpoint.ParentsFirst(*graph_, &cycle_at);
+  ASPPI_CHECK(order.has_value())
+      << "best routes form a cycle at AS" << graph_->AsnAt(cycle_at);
   const std::size_t n = graph_->NumAses();
-  counts_.assign(n, 0);
-  const auto& best = baseline.BestRoutes();
-  const Asn origin = baseline.GetAnnouncement().origin;
-  std::vector<Asn> seen;  // per-path hop dedup (paths are short)
-  for (std::size_t j = 0; j < n; ++j) {
-    const Asn asn_j = graph_->AsnAt(j);
-    if (asn_j == origin) continue;
-    if (!best[j].has_value()) continue;
-    ++reachable_;
-    seen.clear();
-    for (Asn hop : best[j]->path.Hops()) {
-      if (hop == asn_j) continue;  // AsesTraversing excludes x itself
-      if (std::find(seen.begin(), seen.end(), hop) != seen.end()) continue;
-      seen.push_back(hop);
-      ++counts_[graph_->IndexOf(hop)];
+  parent_.assign(n, kNoParent);
+  size_.assign(n, 1);
+  for (topo::AsId i = 0; i < n; ++i) {
+    const std::uint32_t slot = checkpoint.parent_slots[i];
+    if (slot != PropagationResult::kNoParent) {
+      parent_[i] = graph_->NeighborsAt(i)[slot].id;
     }
+  }
+  // Children come after their parents, so a reverse pass finishes each
+  // subtree before adding it to its parent's.
+  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+    if (parent_[*it] != kNoParent) size_[parent_[*it]] += size_[*it];
   }
 }
 
 std::size_t TraversalIndex::TraversingCount(Asn x) const {
-  return counts_[graph_->IndexOf(x)];
+  return size_[graph_->IndexOf(x)] - 1;
+}
+
+std::size_t TraversalIndex::TraversingCount(
+    std::span<const Asn> colluders) const {
+  std::vector<topo::AsId> ids;
+  ids.reserve(colluders.size());
+  for (Asn asn : colluders) ids.push_back(graph_->IndexOf(asn));
+  // The subtrees of the colluders with no colluder above them are disjoint,
+  // and together they hold every AS whose path traverses a colluder plus
+  // every colluder itself.
+  std::size_t covered = 0;
+  for (topo::AsId id : ids) {
+    bool nested = false;
+    for (topo::AsId at = parent_[id]; at != kNoParent && !nested;
+         at = parent_[at]) {
+      nested = std::find(ids.begin(), ids.end(), at) != ids.end();
+    }
+    if (!nested) covered += size_[id];
+  }
+  return covered - ids.size();
 }
 
 // --- DeltaResult ------------------------------------------------------------
@@ -89,46 +112,6 @@ int DeltaResult::FirstChangeRound(Asn asn) const {
   // Untouched ASes never changed since the resume point — matches the full
   // engine's Resume(), which resets every change round to -1 first.
   return row != nullptr ? row->first_change_round : -1;
-}
-
-std::vector<Asn> DeltaResult::AsesTraversing(Asn x) const {
-  std::vector<Asn> out;
-  const topo::AsGraph& graph = Graph();
-  const Asn origin = GetAnnouncement().origin;
-  const std::size_t n = graph.NumAses();
-  for (std::size_t i = 0; i < n; ++i) {
-    Asn asn = graph.AsnAt(i);
-    if (asn == x || asn == origin) continue;
-    const std::optional<Route>& best = BestAtIndex(i);
-    if (best && best->path.Contains(x)) out.push_back(asn);
-  }
-  return out;
-}
-
-double DeltaResult::FractionTraversing(Asn x) const {
-  const std::size_t n = Graph().NumAses();
-  if (n <= 2) return 0.0;
-  return static_cast<double>(AsesTraversing(x).size()) /
-         static_cast<double>(n - 2);
-}
-
-std::size_t DeltaResult::ReachableCount() const {
-  // Baseline count corrected by overlay rows that gained or lost a route.
-  std::size_t count = base_->ReachableCount();
-  const auto& base_best = base_->BestRoutes();
-  const topo::AsGraph& graph = Graph();
-  const Asn origin = GetAnnouncement().origin;
-  for (std::size_t p = 0; p < touched_.size(); ++p) {
-    const DeltaRow& row = rows_[p];
-    if (!row.best_set) continue;
-    const std::size_t i = touched_[p];
-    if (graph.AsnAt(i) == origin) continue;
-    const bool was = base_best[i].has_value();
-    const bool now = row.best.has_value();
-    if (now && !was) ++count;
-    if (!now && was) --count;
-  }
-  return count;
 }
 
 PropagationResult DeltaResult::Materialize() const {
@@ -295,7 +278,7 @@ DeltaResult DeltaPropagator::Propagate(
     // Same cap and same stop point as the full engine's RunLoop: a
     // persistently oscillating adversarial policy yields a flagged,
     // deterministic round-cap snapshot instead of an abort.
-    if (round >= kMaxRounds) {
+    if (round >= engine_detail::kMaxRounds) {
       converged = false;
       break;
     }

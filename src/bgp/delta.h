@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bgp/propagation.h"
@@ -44,27 +45,39 @@
 
 namespace asppi::bgp {
 
-// Per-baseline index answering "how many ASes' best path traverses x?" in
-// O(1) per query. Building it is one O(n·L) pass — the same cost as a single
-// PropagationResult::AsesTraversing call, which sweeps otherwise pay twice
-// per (attacker, victim, λ) point. BaselineCache builds one per cached
-// baseline; the delta engine then derives post-attack pollution by adjusting
-// the baseline count over touched ASes only.
+// Per-baseline index answering "how many ASes' best path traverses x?" for
+// one AS or a set of colluders, and how many ASes hold a route. A converged
+// attack-free baseline is a best-route tree (paper Fig. 2): AS a's best path
+// contains x exactly when x is an ancestor of a in that tree, so the count
+// for x is x's subtree size minus 1. Built in O(n) from the baseline's
+// checkpoint parent slots (PropagationResult::ToCheckpoint) with one pass
+// over their parents-first order; BaselineCache builds one per cached
+// baseline, and AttackSimulator adjusts its counts over the attack's touched
+// ASes only.
 class TraversalIndex {
  public:
+  // `baseline` must be attack-free and converged (ToCheckpoint aborts
+  // otherwise) — what BaselineCache holds.
   explicit TraversalIndex(const PropagationResult& baseline);
 
   // |{a : a != x, a != origin, best(a) traverses x}| in the baseline.
   std::size_t TraversingCount(Asn x) const;
+  // |{a : a not a colluder, a != origin, best(a) traverses any colluder}|.
+  // `colluders` must be duplicate-free and must not contain the origin.
+  std::size_t TraversingCount(std::span<const Asn> colluders) const;
   // Number of ASes with any route at all (origin excluded).
-  std::size_t ReachableCount() const { return reachable_; }
+  std::size_t ReachableCount() const { return size_[origin_] - 1; }
 
  private:
+  static constexpr topo::AsId kNoParent = 0xFFFFFFFF;
+
   const topo::AsGraph* graph_;
-  std::size_t reachable_ = 0;
-  // counts_[i]: number of ASes (excluding AsnAt(i) itself and the origin)
-  // whose baseline best path contains AsnAt(i).
-  std::vector<std::size_t> counts_;
+  topo::AsId origin_;
+  // parent_[i]: dense id of the neighbor AS i's best route came from;
+  // kNoParent for the origin and for ASes without a route.
+  std::vector<topo::AsId> parent_;
+  // size_[i]: ASes in i's subtree, i included (1 for an AS without a route).
+  std::vector<std::uint32_t> size_;
 };
 
 // Overlay state of one touched AS. Absent fields fall through to the
@@ -95,9 +108,9 @@ struct DeltaRow {
 };
 
 // The converged post-attack state as (immutable baseline + sparse overlay).
-// Query API mirrors PropagationResult; Materialize() produces the equivalent
-// dense PropagationResult (for the Resume oracle and anything that needs the
-// full RIB).
+// Per-AS queries mirror PropagationResult's; Materialize() produces the
+// equivalent dense PropagationResult (for the Resume oracle and anything
+// that needs the full RIB or a whole-state scan).
 class DeltaResult {
  public:
   // --- PropagationResult-compatible queries --------------------------------
@@ -113,9 +126,6 @@ class DeltaResult {
     return base_->GetAnnouncement();
   }
   const topo::AsGraph& Graph() const { return base_->Graph(); }
-  std::vector<Asn> AsesTraversing(Asn x) const;
-  double FractionTraversing(Asn x) const;
-  std::size_t ReachableCount() const;
 
   // --- delta-specific ------------------------------------------------------
   // Dense index variant (no hash lookup) for overlay-aware consumers.
@@ -123,9 +133,6 @@ class DeltaResult {
   // Ascending dense indices of every AS whose best route or Adj-RIB-In the
   // propagation changed (overlay rows exist exactly for these).
   const std::vector<std::uint32_t>& TouchedIndices() const { return touched_; }
-  const DeltaRow& RowAt(std::size_t pos) const { return rows_[pos]; }
-  const PropagationResult& Base() const { return *base_; }
-  std::shared_ptr<const PropagationResult> BasePtr() const { return base_; }
 
   // Dense state equivalent to running the full engine's Resume() with the
   // same inputs: baseline copied, overlay applied, change rounds reset to
@@ -175,8 +182,6 @@ class DeltaPropagator {
   void ExportFromDelta(Work& work, std::size_t u, RouteTransform* transform,
                        const ImportFilter* filter) const;
   bool DecideDelta(Work& work, std::size_t u, RouteTransform* transform) const;
-
-  static constexpr int kMaxRounds = 10000;
 
   const topo::AsGraph& graph_;
 };

@@ -198,6 +198,38 @@ PropagationResult::Checkpoint PropagationResult::ToCheckpoint() const {
   return checkpoint;
 }
 
+std::optional<std::vector<topo::AsId>>
+PropagationResult::Checkpoint::ParentsFirst(const topo::AsGraph& graph,
+                                            topo::AsId* cycle_at) const {
+  // Walk each AS's parent chain up to an AS already placed (or a root), then
+  // place the chain top-down. Meeting an AS of the chain being walked again
+  // closes a cycle.
+  const std::size_t n = parent_slots.size();
+  enum : std::uint8_t { kUnplaced, kOnChain, kPlaced };
+  std::vector<std::uint8_t> mark(n, kUnplaced);
+  std::vector<topo::AsId> order;
+  order.reserve(n);
+  std::vector<topo::AsId> chain;
+  for (topo::AsId start = 0; start < n; ++start) {
+    for (topo::AsId at = start; mark[at] == kUnplaced;) {
+      mark[at] = kOnChain;
+      chain.push_back(at);
+      if (parent_slots[at] == kNoParent) break;
+      at = graph.NeighborsAt(at)[parent_slots[at]].id;
+      if (mark[at] == kOnChain) {
+        *cycle_at = at;
+        return std::nullopt;
+      }
+    }
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      mark[*it] = kPlaced;
+      order.push_back(*it);
+    }
+    chain.clear();
+  }
+  return order;
+}
+
 std::optional<PropagationResult> PropagationResult::FromCheckpoint(
     const topo::AsGraph& graph, Announcement announcement,
     Checkpoint checkpoint, std::string* error) {
@@ -226,30 +258,12 @@ std::optional<PropagationResult> PropagationResult::FromCheckpoint(
     }
   }
 
-  // Parents-first order: walk each AS's parent chain up to an AS already
-  // placed (or a root), then place the chain top-down. Meeting an AS of the
-  // chain being walked again closes a cycle.
-  enum : std::uint8_t { kUnplaced, kOnChain, kPlaced };
-  std::vector<std::uint8_t> mark(n, kUnplaced);
-  std::vector<topo::AsId> order;
-  order.reserve(n);
-  std::vector<topo::AsId> chain;
-  for (topo::AsId start = 0; start < n; ++start) {
-    for (topo::AsId at = start; mark[at] == kUnplaced;) {
-      mark[at] = kOnChain;
-      chain.push_back(at);
-      if (parent_slots[at] == kNoParent) break;
-      at = graph.NeighborsAt(at)[parent_slots[at]].id;
-      if (mark[at] == kOnChain) return fail(at, "parent links form a cycle");
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      mark[*it] = kPlaced;
-      order.push_back(*it);
-    }
-    chain.clear();
-  }
+  topo::AsId cycle_at = 0;
+  const std::optional<std::vector<topo::AsId>> order =
+      checkpoint.ParentsFirst(graph, &cycle_at);
+  if (!order.has_value()) return fail(cycle_at, "parent links form a cycle");
 
-  // One export pass in that order: an AS's parent has exported to it before
+  // One export pass parents-first: an AS's parent has exported to it before
   // its own turn, so its best route is already in its Adj-RIB-In.
   PropagationResult result;
   result.graph_ = &graph;
@@ -261,7 +275,7 @@ std::optional<PropagationResult> PropagationResult::FromCheckpoint(
   for (topo::AsId i = 0; i < n; ++i) {
     result.rib_in_[i].resize(graph.DegreeAt(i));
   }
-  for (topo::AsId u : order) {
+  for (topo::AsId u : *order) {
     if (parent_slots[u] != kNoParent) {
       result.best_[u] = result.rib_in_[u][parent_slots[u]];
       if (!result.best_[u].has_value()) {
@@ -425,7 +439,7 @@ void PropagationSimulator::RunLoop(PropagationResult& state,
     // preference cycles never settle (Griffin's dispute wheels). Stop at the
     // cap and flag the state instead of aborting: the cap snapshot is still
     // deterministic, and the delta engine stops at the identical point.
-    if (round >= kMaxRounds) {
+    if (round >= engine_detail::kMaxRounds) {
       state.converged_ = false;
       break;
     }
@@ -436,16 +450,6 @@ void PropagationSimulator::RunLoop(PropagationResult& state,
       if (!dirty[v]) continue;
       dirty[v] = 0;
       if (Decide(state, v, transform)) {
-#ifdef ASPPI_DEBUG_OSCILLATION
-        if (round > 9990) {
-          std::fprintf(stderr, "round %d: AS%u -> %s (rel=%d)\n", round,
-                       graph_.AsnAt(v),
-                       state.best_[v] ? state.best_[v]->path.ToString().c_str()
-                                      : "<none>",
-                       state.best_[v] ? static_cast<int>(state.best_[v]->rel)
-                                      : -1);
-        }
-#endif
         any_change = true;
         if (state.first_change_round_[v] < 0) {
           state.first_change_round_[v] = round;

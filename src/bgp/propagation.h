@@ -85,6 +85,12 @@ std::optional<Route> ChooseBest(Asn u_asn,
                                 std::span<const std::optional<Route>> rib,
                                 RouteTransform* transform);
 
+// Round cap of both engines. A run still exporting after this many rounds
+// stops there and is flagged not converged (Converged() == false): the
+// delta engine stops at the full engine's point because both read this one
+// constant.
+inline constexpr int kMaxRounds = 10000;
+
 // Directed-edge addressing lives in the frozen graph itself: every
 // topo::Edge carries the neighbor's dense id and the exporter's slot in the
 // neighbor's Adj-RIB-In (back_slot), precomputed once at Freeze(). What used
@@ -143,6 +149,14 @@ class PropagationResult {
     // own adjacency row; kNoParent for no route (and always for the origin).
     std::vector<std::uint32_t> parent_slots;
     std::vector<int> first_change_rounds;
+
+    // Dense AS ids, each after the AS its best route came from: the order
+    // FromCheckpoint derives routes in and bgp::TraversalIndex sums subtrees
+    // against. Every parent slot must lie within its AS's degree. Returns
+    // nullopt and sets `*cycle_at` to an AS on the cycle when the parent
+    // links form one.
+    std::optional<std::vector<topo::AsId>> ParentsFirst(
+        const topo::AsGraph& graph, topo::AsId* cycle_at) const;
   };
   // Only for an attack-free, filterless, converged state — what
   // Run(announcement) and attack::BaselineCache produce. Aborts on a state
@@ -226,8 +240,6 @@ class PropagationSimulator {
   // Recomputes u's best from its Adj-RIB-In. Returns true if it changed.
   bool Decide(PropagationResult& state, std::size_t u,
               RouteTransform* transform) const;
-
-  static constexpr int kMaxRounds = 10000;
 
   const topo::AsGraph& graph_;
 };

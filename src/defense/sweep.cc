@@ -70,11 +70,7 @@ std::vector<DefenseSweepPoint> RunDefenseSweep(
           : options.pairs;
   ASPPI_CHECK(!pairs.empty()) << "defense sweep needs at least one pair";
 
-  attack::BaselineCache local_cache(graph);
-  attack::BaselineCache* cache = options.baseline_cache != nullptr
-                                     ? options.baseline_cache
-                                     : &local_cache;
-  const attack::AttackSimulator simulator(graph, cache);
+  const attack::AttackSimulator simulator(graph, options.baseline_cache);
 
   const std::size_t num_strategies = options.strategies.size();
   const std::size_t num_fractions = options.fractions.size();

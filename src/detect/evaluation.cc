@@ -4,6 +4,7 @@
 #include <limits>
 #include <set>
 
+#include "detect/monitors.h"
 #include "util/check.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -24,20 +25,6 @@ struct EvalMetrics {
 EvalMetrics& Instr() {
   static EvalMetrics* m = new EvalMetrics();
   return *m;
-}
-
-// Best-path observations for `monitors`; ASes without routes are skipped.
-// The attacker is excluded — it would not feed honest data to a collector.
-MonitorPaths PathsAt(const bgp::PropagationResult& state,
-                     const std::vector<Asn>& monitors, Asn attacker) {
-  MonitorPaths out;
-  out.reserve(monitors.size());
-  for (Asn m : monitors) {
-    if (m == attacker) continue;
-    const auto& best = state.BestAt(m);
-    if (best.has_value()) out.emplace_back(m, best->path);
-  }
-  return out;
 }
 
 }  // namespace

@@ -30,24 +30,6 @@ ServiceMetrics& Instr() {
   return *m;
 }
 
-// Best-path observations for `monitors` toward the announcement's origin;
-// monitors without a route are skipped and the attacker is excluded (it
-// would not feed honest data to a collector). Mirrors the extraction the
-// detection-evaluation harness uses, so serve "detect" answers match the
-// batch pipeline's.
-template <typename State>  // PropagationResult or DeltaResult
-std::vector<std::pair<Asn, bgp::AsPath>> PathsAt(
-    const State& state, const std::vector<Asn>& monitors, Asn attacker) {
-  std::vector<std::pair<Asn, bgp::AsPath>> out;
-  out.reserve(monitors.size());
-  for (Asn m : monitors) {
-    if (m == attacker) continue;
-    const auto& best = state.BestAt(m);
-    if (best.has_value()) out.emplace_back(m, best->path);
-  }
-  return out;
-}
-
 const char* ConfidenceName(detect::Alarm::Confidence confidence) {
   return confidence == detect::Alarm::Confidence::kHigh ? "high" : "possible";
 }
@@ -83,10 +65,11 @@ std::uint64_t QueryService::RequestCount(Op op) const {
   return op_counts_[static_cast<int>(op)].load(std::memory_order_relaxed);
 }
 
-bgp::Announcement QueryService::AnnouncementFor(Asn origin, int lambda) const {
+bgp::Announcement AnnouncementFor(const bgp::PrependPolicy& policy,
+                                  Asn origin, int lambda) {
   bgp::Announcement announcement;
   announcement.origin = origin;
-  announcement.prepends = policy_;
+  announcement.prepends = policy;
   announcement.prepends.SetDefault(origin, lambda);
   return announcement;
 }
@@ -182,7 +165,7 @@ std::string QueryService::RunImpact(const Request& request) {
   const int lambda = EffectiveLambda(request);
   const attack::AttackOutcome outcome =
       simulator_.RunAsppInterceptionWithPolicy(
-          AnnouncementFor(request.victim, lambda), request.attacker,
+          AnnouncementFor(policy_, request.victim, lambda), request.attacker,
           request.violate_valley_free,
           /*export_stripped_to_peers=*/true, ActiveDefense());
   Json response = Json::Object();
@@ -197,9 +180,9 @@ std::string QueryService::RunImpact(const Request& request) {
   response["newly_polluted"] =
       Json(static_cast<std::uint64_t>(outcome.newly_polluted.size()));
   response["reachable_before"] =
-      Json(static_cast<std::uint64_t>(outcome.before->ReachableCount()));
+      Json(static_cast<std::uint64_t>(outcome.reachable_before));
   response["reachable_after"] =
-      Json(static_cast<std::uint64_t>(outcome.after.ReachableCount()));
+      Json(static_cast<std::uint64_t>(outcome.reachable_after));
   return response.ToString(-1);
 }
 
@@ -215,15 +198,17 @@ std::string QueryService::RunDetect(const Request& request) {
   const std::size_t monitor_count =
       request.monitors > 0 ? request.monitors : options_.default_monitors;
   const bgp::Announcement announcement =
-      AnnouncementFor(request.victim, lambda);
+      AnnouncementFor(policy_, request.victim, lambda);
   const attack::AttackOutcome outcome =
       simulator_.RunAsppInterceptionWithPolicy(
           announcement, request.attacker, request.violate_valley_free,
           /*export_stripped_to_peers=*/true, ActiveDefense());
   const std::vector<Asn> monitors =
       detect::TopDegreeMonitors(graph_, monitor_count);
-  const auto previous = PathsAt(*outcome.before, monitors, request.attacker);
-  const auto current = PathsAt(outcome.after, monitors, request.attacker);
+  const auto previous =
+      detect::PathsAt(*outcome.before, monitors, request.attacker);
+  const auto current =
+      detect::PathsAt(outcome.after, monitors, request.attacker);
   std::vector<detect::Alarm> alarms = detector_.Scan(
       request.victim, previous, current, &announcement.prepends);
   std::sort(alarms.begin(), alarms.end(), detect::AlarmLess);
@@ -262,11 +247,13 @@ std::string QueryService::RunRoute(const Request& request) {
                          std::to_string(request.observer));
   }
   const int lambda = EffectiveLambda(request);
-  // By-reference read of the retained baseline: entries are never evicted or
-  // replaced, so no shared_ptr bump or RIB copy on this hot path.
-  const bgp::PropagationResult& state =
-      baseline_cache_.GetRef(AnnouncementFor(request.victim, lambda));
-  const auto& best = state.BestAt(request.observer);
+  // Holding the entry's shared_ptr pins the baseline while it is read; no
+  // RIB copy on this hot path.
+  const std::shared_ptr<const bgp::PropagationResult> state =
+      baseline_cache_
+          .GetEntry(AnnouncementFor(policy_, request.victim, lambda))
+          .state;
+  const auto& best = state->BestAt(request.observer);
   Json response = Json::Object();
   response["ok"] = Json(true);
   response["op"] = Json("route");
@@ -291,7 +278,7 @@ std::string QueryService::RunDefense(const Request& request) {
   }
   const int lambda = EffectiveLambda(request);
   const bgp::Announcement announcement =
-      AnnouncementFor(request.victim, lambda);
+      AnnouncementFor(policy_, request.victim, lambda);
   const defense::DeploymentPlan plan = defense::DeploymentPlan::Make(
       graph_, request.deploy_strategy, request.victim, request.attacker,
       request.deploy_seed);

@@ -71,6 +71,14 @@ struct ServerStats {
   std::uint64_t batched_requests = 0;
 };
 
+// The announcement a request for (origin, λ) implies: `policy` (the
+// corpus-wide prepend policy) overlaid with a uniform default of λ for the
+// origin. impact, detect and route derive their baseline-cache keys with it,
+// and asppi_snapshot its embedded baselines, so a snapshot's warm entries
+// are the very keys the service asks for.
+bgp::Announcement AnnouncementFor(const bgp::PrependPolicy& policy,
+                                  Asn origin, int lambda);
+
 class QueryService {
  public:
   // `graph` must outlive the service. `policy` is the corpus-wide prepend
@@ -105,10 +113,6 @@ class QueryService {
   std::uint64_t RequestCount(Op op) const;
 
  private:
-  // The victim/origin announcement a request implies: corpus policy overlaid
-  // with a uniform default of λ for the origin. Shared by impact, detect,
-  // route, and the snapshot builder so their baseline-cache keys agree.
-  bgp::Announcement AnnouncementFor(Asn origin, int lambda) const;
   int EffectiveLambda(const Request& request) const;
 
   // The import filter what-if runs honor (null = undefended).

@@ -54,11 +54,7 @@ SearchResult Search::Run(Asn victim, std::span<const Asn> colluders) const {
   announcement.origin = victim;
   announcement.prepends.SetDefault(victim, options_.lambda);
 
-  attack::BaselineCache local_cache(graph_);
-  attack::BaselineCache* cache = options_.baseline_cache != nullptr
-                                     ? options_.baseline_cache
-                                     : &local_cache;
-  const attack::AttackSimulator scorer(graph_, cache);
+  const attack::AttackSimulator scorer(graph_, options_.baseline_cache);
 
   SearchResult result;
   std::size_t mismatches = 0;

@@ -58,9 +58,9 @@ TEST(AsppAttack, InterceptedTrafficStillReachesVictim) {
   AttackSimulator sim(g);
   AttackOutcome outcome = sim.RunAsppInterception(
       topo::fb::kFacebook, topo::fb::kSkTelecom, 5);
-  for (Asn asn : outcome.after.AsesTraversing(topo::fb::kSkTelecom)) {
-    const auto& best = outcome.after.BestAt(asn);
-    EXPECT_EQ(best->path.OriginAs(), topo::fb::kFacebook);
+  const bgp::PropagationResult after = outcome.after.Materialize();
+  for (Asn asn : after.AsesTraversing(topo::fb::kSkTelecom)) {
+    EXPECT_EQ(after.BestAt(asn)->path.OriginAs(), topo::fb::kFacebook);
   }
 }
 
@@ -313,18 +313,17 @@ TEST(AsppAttack, StripsIntermediaryPrepending) {
   ann.prepends.SetDefault(2, 4);  // intermediary prepending by AS2
 
   // Without an attack AS4 prefers the unpadded branch via 5.
-  AttackSimulator sim(g);
+  const bgp::PropagationSimulator engine(g);
   AsppInterceptor::Config config;
   config.attacker = 3;
   config.victim = 1;
   config.padded_as = 2;  // strip the intermediary's pads, not the origin's
   AsppInterceptor interceptor(config);
-  bgp::PropagationResult before = sim.Engine().Run(ann);
+  bgp::PropagationResult before = engine.Run(ann);
   EXPECT_EQ(before.BestAt(4)->path.ToString(), "5 1");
   EXPECT_EQ(before.BestAt(3)->path.ToString(), "2 2 2 2 1");
 
-  bgp::PropagationResult after =
-      sim.Engine().Resume(before, &interceptor, {3});
+  bgp::PropagationResult after = engine.Resume(before, &interceptor, {3});
   // AS3 re-announces [3 2 1] (3 hops incl. itself); AS4 compares its
   // customer routes [5 1] (2) vs [3 2 1] (3) and keeps the short one, but
   // AS3's own customers switch to the stripped route.

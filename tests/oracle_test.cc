@@ -1,8 +1,8 @@
 // The Resume oracle (attack::DiffAgainstResume) must catch every kind of
 // corruption it claims to cover. Each case runs a real attack, checks that
 // the honest outcome passes, then corrupts one field of a copy at a time —
-// a fraction, newly_polluted, converged, one best route, one change round,
-// one Adj-RIB-In slot, the round count — and requires a
+// a fraction, newly_polluted, a reachable count, converged, one best route,
+// one change round, one Adj-RIB-In slot, the round count — and requires a
 // difference line naming that field. Three attack shapes: a single attacker,
 // a defended attack under a defense::PolicySet, and a two-colluder
 // strategy::AttackerProgram (the any-colluder pollution path).
@@ -72,6 +72,8 @@ std::vector<Corruption> AllCorruptions() {
        }},
       {"newly_polluted",
        [](AttackOutcome& o) { o.newly_polluted.push_back(o.victim); }},
+      {"reachable_before", [](AttackOutcome& o) { ++o.reachable_before; }},
+      {"reachable_after", [](AttackOutcome& o) { ++o.reachable_after; }},
       {"converged", [](AttackOutcome& o) { o.converged = !o.converged; }},
       {"best route",
        [](AttackOutcome& o) {

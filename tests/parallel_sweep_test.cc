@@ -102,8 +102,8 @@ TEST(BaselineCache, CachedBaselineEqualsFreshRun) {
   announcement.origin = gen.tier1[0];
   announcement.prepends.SetDefault(announcement.origin, 3);
 
-  auto first = cache.Get(announcement);
-  auto second = cache.Get(announcement);
+  auto first = cache.GetEntry(announcement).state;
+  auto second = cache.GetEntry(announcement).state;
   EXPECT_EQ(first.get(), second.get()) << "hit must share the same state";
   EXPECT_EQ(CounterValue("attack.baseline_cache.misses") - misses0, 1u);
   EXPECT_EQ(CounterValue("attack.baseline_cache.hits") - hits0, 1u);
@@ -116,6 +116,21 @@ TEST(BaselineCache, CachedBaselineEqualsFreshRun) {
     EXPECT_EQ(first->BestAt(asn), fresh.BestAt(asn)) << "AS" << asn;
     EXPECT_EQ(first->FirstChangeRound(asn), fresh.FirstChangeRound(asn));
   }
+}
+
+TEST(BaselineCache, SimulatorWithoutACacheMemoizesItsBaselines) {
+  auto gen = SweepTopo(97);
+  const attack::AttackSimulator simulator(gen.graph);
+  const std::uint64_t hits0 = CounterValue("attack.baseline_cache.hits");
+  const std::uint64_t misses0 = CounterValue("attack.baseline_cache.misses");
+
+  const auto first =
+      simulator.RunAsppInterception(gen.tier1[0], gen.tier1[1], /*lambda=*/3);
+  const auto second =
+      simulator.RunAsppInterception(gen.tier1[0], gen.tier2[0], /*lambda=*/3);
+  EXPECT_EQ(CounterValue("attack.baseline_cache.misses") - misses0, 1u);
+  EXPECT_EQ(CounterValue("attack.baseline_cache.hits") - hits0, 1u);
+  EXPECT_EQ(first.before, second.before) << "both runs read one baseline";
 }
 
 TEST(BaselineCache, LambdaSweepRunsOneUncachedBaselinePerLambda) {

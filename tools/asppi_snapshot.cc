@@ -28,6 +28,7 @@
 #include "data/snapshot.h"
 #include "defense/deployment.h"
 #include "defense/policy.h"
+#include "serve/service.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -222,20 +223,17 @@ int main(int argc, char** argv) {
 
   e.Note("topology: %zu ASes, %zu links", graph.NumAses(), graph.NumLinks());
 
-  // Converge each requested origin's attack-free baseline. The announcement
-  // shape (policy + uniform λ default for the origin) matches what
-  // serve::QueryService derives per request, so the embedded checkpoints are
-  // warm cache entries, not near misses.
+  // Converge each requested origin's attack-free baseline, announced as
+  // serve::AnnouncementFor derives it per request, so the embedded
+  // checkpoints are warm cache entries, not near misses.
   std::vector<std::shared_ptr<const bgp::PropagationResult>> baselines(
       origins.size());
   if (!origins.empty()) {
     attack::BaselineCache cache(graph);
     e.Pool()->ParallelFor(origins.size(), [&](std::size_t i) {
-      bgp::Announcement announcement;
-      announcement.origin = origins[i];
-      announcement.prepends = policy;
-      announcement.prepends.SetDefault(origins[i], lambda);
-      baselines[i] = cache.Get(announcement);
+      baselines[i] =
+          cache.GetEntry(serve::AnnouncementFor(policy, origins[i], lambda))
+              .state;
     });
     e.Note("converged %zu baseline(s) at lambda=%d", baselines.size(), lambda);
   }
