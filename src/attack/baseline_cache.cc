@@ -1,8 +1,12 @@
 #include "attack/baseline_cache.h"
 
 #include <exception>
+#include <optional>
+#include <string>
 #include <utility>
 
+#include "bgp/routing_tree.h"
+#include "util/check.h"
 #include "util/metrics.h"
 
 namespace asppi::attack {
@@ -30,8 +34,7 @@ CacheMetrics& Instr() {
 
 }  // namespace
 
-BaselineCache::BaselineCache(const topo::AsGraph& graph)
-    : graph_(graph), engine_(graph) {}
+BaselineCache::BaselineCache(const topo::AsGraph& graph) : graph_(graph) {}
 
 BaselineEntry BaselineCache::GetEntry(const bgp::Announcement& announcement) {
   const std::string key = KeyOf(announcement);
@@ -56,9 +59,19 @@ BaselineEntry BaselineCache::GetEntry(const bgp::Announcement& announcement) {
     // waiters for *this* key block on the future instead of the mutex.
     util::ScopedTimer compute_timer(Instr().compute);
     try {
+      // The paper's Fig. 2 tree gives Run's best routes and change rounds;
+      // FromCheckpoint derives the routes from it. An error here would be a
+      // tree bug, not bad input.
+      std::string error;
+      std::optional<bgp::PropagationResult> state =
+          bgp::PropagationResult::FromCheckpoint(
+              graph_, announcement,
+              bgp::RoutingTree(graph_, announcement).Checkpoint(), &error);
+      ASPPI_CHECK(state.has_value())
+          << "baseline of origin AS" << announcement.origin << ": " << error;
       BaselineEntry entry;
-      entry.state = std::make_shared<const bgp::PropagationResult>(
-          engine_.Run(announcement));
+      entry.state =
+          std::make_shared<const bgp::PropagationResult>(std::move(*state));
       entry.traversal =
           std::make_shared<const bgp::TraversalIndex>(*entry.state);
       promise.set_value(std::move(entry));

@@ -9,7 +9,10 @@
 // attacker, so it is memoized here and handed out as
 // shared_ptr<const PropagationResult>; AttackSimulator (which owns a cache
 // when its caller passes none) then warm-starts each attack from it through
-// bgp::DeltaPropagator::Propagate().
+// bgp::DeltaPropagator::Propagate(). A miss builds the baseline as the
+// paper's Fig. 2 best-route tree (bgp::RoutingTree) in one pass, through
+// PropagationResult::FromCheckpoint: best routes, parent slots and change
+// rounds, and no stored Adj-RIB-In.
 //
 // Alongside the converged state, each entry carries a bgp::TraversalIndex
 // built once per baseline from its best-route tree: subtree sizes that
@@ -79,7 +82,6 @@ class BaselineCache {
 
  private:
   const topo::AsGraph& graph_;
-  bgp::PropagationSimulator engine_;
 
   mutable std::mutex mu_;
   // shared_future so every waiter (including the computing thread) can

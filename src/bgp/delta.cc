@@ -10,6 +10,8 @@ namespace asppi::bgp {
 
 namespace {
 
+using engine_detail::RouteKey;
+
 // Delta-engine counters (DESIGN.md §4h). Work counters only — deterministic
 // for any thread count, like the full engine's bgp.propagation.* family.
 struct DeltaMetrics {
@@ -22,9 +24,6 @@ struct DeltaMetrics {
   util::Counter wavefront_total{"engine.delta.wavefront_total"};
   // Largest single-round export worklist, summed over runs.
   util::Counter wavefront_peak{"engine.delta.wavefront_peak"};
-  // Rounds the baseline needed beyond what the delta run did, summed over
-  // runs — how much convergence work warm-starting skipped.
-  util::Counter early_exit_rounds{"engine.delta.early_exit_rounds"};
   util::Timer converge_time{"engine.delta.converge"};
 };
 
@@ -116,6 +115,7 @@ int DeltaResult::FirstChangeRound(Asn asn) const {
 
 PropagationResult DeltaResult::Materialize() const {
   PropagationResult out = *base_;
+  out.StoreRibSlots();
   out.rounds_ = rounds_;
   out.converged_ = converged_;
   std::fill(out.first_change_round_.begin(), out.first_change_round_.end(),
@@ -140,7 +140,10 @@ PropagationResult DeltaResult::Materialize() const {
 // O(1) with no hashing; rows live in a deque, so references to one row stay
 // valid while other rows are created. Rib slot overrides are bitmask-gated
 // (see DeltaRow): row creation allocates but never copies baseline routes,
-// and per-slot access is one bit test plus a direct index.
+// and per-slot access is one bit test plus a direct index. A slot without an
+// override is the baseline's, derived from the sender's baseline best route
+// (never read from a stored Adj-RIB-In): compared and ranked in place by the
+// engine_detail helpers, built only where a route is needed.
 struct DeltaPropagator::Work {
   std::shared_ptr<const PropagationResult> base;
   std::vector<std::int32_t> row_of;  // dense index → rows position, or -1
@@ -173,18 +176,32 @@ struct DeltaPropagator::Work {
     if (row != nullptr && row->best_set) return row->best;
     return base->BestRoutes()[index];
   }
-  const std::optional<Route>& RibAt(std::size_t index,
-                                    std::uint32_t slot) const {
-    if (const DeltaRow* row = FindRow(index)) {
-      if (row->HasRibOverride(slot)) return row->rib[slot];
-    }
-    return base->RibIn()[index][slot];
+  // The override of slot `slot` at `index`, or nullptr for the baseline's.
+  const std::optional<Route>* OverrideAt(std::size_t index,
+                                         std::uint32_t slot) const {
+    const DeltaRow* row = FindRow(index);
+    return row != nullptr && row->HasRibOverride(slot) ? &row->rib[slot]
+                                                       : nullptr;
+  }
+  // The baseline's slot `slot` at `index`, built: what the neighbor there
+  // exports from its baseline best route.
+  std::optional<Route> BaseRibAt(std::size_t index, std::uint32_t slot) const {
+    const topo::AsGraph& graph = base->Graph();
+    const topo::Edge& from =
+        graph.NeighborsAt(static_cast<topo::AsId>(index))[slot];
+    const Announcement& announcement = base->GetAnnouncement();
+    return engine_detail::ExportTo(
+               announcement, from.asn, from.asn == announcement.origin,
+               base->BestRoutes()[from.id],
+               graph.NeighborsAt(from.id)[from.back_slot], nullptr, nullptr)
+        .route;
   }
   void SetRib(std::size_t index, std::uint32_t slot,
               std::optional<Route> value) {
     DeltaRow& row = MutableRow(index);
     if (row.rib.empty()) {
-      const std::size_t degree = base->RibIn()[index].size();
+      const std::size_t degree =
+          base->Graph().DegreeAt(static_cast<topo::AsId>(index));
       row.rib.resize(degree);
       row.rib_mask.assign((degree + 63) / 64, 0);
     }
@@ -321,11 +338,6 @@ DeltaResult DeltaPropagator::Propagate(
   if (work.withdrawn != 0) Instr().withdrawn.Add(work.withdrawn);
   Instr().wavefront_total.Add(result.touched_.size());
   Instr().wavefront_peak.Add(peak_wavefront);
-  const int base_rounds = result.base_->Rounds();
-  if (base_rounds > round) {
-    Instr().early_exit_rounds.Add(
-        static_cast<std::uint64_t>(base_rounds - round));
-  }
   return result;
 }
 
@@ -338,13 +350,22 @@ void DeltaPropagator::ExportFromDelta(Work& work, std::size_t u,
   // Safe as a reference: it aims into the immutable baseline or into a deque
   // row, and nothing below mutates any row's `best`.
   const std::optional<Route>& best = work.BestOfIdx(u);
+  const std::optional<Route>& base_best = work.base->BestRoutes()[u];
 
   for (const topo::Edge& edge :
        graph_.NeighborsAt(static_cast<topo::AsId>(u))) {
     engine_detail::Delivery delivery = engine_detail::ExportTo(
         announcement, u_asn, is_origin, best, edge, transform, filter);
     if (delivery.sent) ++work.announced;
-    if (delivery.route == work.RibAt(edge.id, edge.back_slot)) continue;
+    // Unchanged from what the receiver's slot holds: its override, or else
+    // what u's baseline best exports there.
+    const std::optional<Route>* held = work.OverrideAt(edge.id, edge.back_slot);
+    if (held != nullptr ? delivery.route == *held
+                        : engine_detail::SameAsDelivery(
+                              delivery.route, announcement, u_asn, is_origin,
+                              base_best, edge.asn, edge.rel)) {
+      continue;
+    }
     // Same accounting as the full engine: clearing a held slot because
     // nothing was sent is a withdrawal.
     if (!delivery.sent) ++work.withdrawn;
@@ -356,44 +377,53 @@ void DeltaPropagator::ExportFromDelta(Work& work, std::size_t u,
 bool DeltaPropagator::DecideDelta(Work& work, std::size_t u,
                                   RouteTransform* transform) const {
   ++work.decisions;
+  const Announcement& announcement = work.base->GetAnnouncement();
   const Asn u_asn = graph_.AsnAt(u);
-  if (u_asn == work.base->GetAnnouncement().origin) return false;
+  if (u_asn == announcement.origin) return false;
 
-  const auto& base_rib = work.base->RibIn()[u];
-  const DeltaRow* row = work.FindRow(u);
-  const bool has_overrides = row != nullptr && !row->rib.empty();
+  const std::span<const topo::Edge> neighbors =
+      graph_.NeighborsAt(static_cast<topo::AsId>(u));
+  const auto slots = static_cast<std::uint32_t>(neighbors.size());
 
   std::optional<Route> chosen;
   if (transform != nullptr && transform->MightOverride(u_asn)) {
-    // OverrideBest needs a contiguous Adj-RIB-In view; materialize the
-    // merged row. MightOverride keeps this off every AS but the attacker.
-    if (!has_overrides) {
-      chosen = engine_detail::ChooseBest(u_asn, base_rib, transform);
-    } else {
-      std::vector<std::optional<Route>> merged(base_rib.begin(),
-                                               base_rib.end());
-      for (std::uint32_t slot = 0;
-           slot < static_cast<std::uint32_t>(merged.size()); ++slot) {
-        if (row->HasRibOverride(slot)) merged[slot] = row->rib[slot];
-      }
-      chosen = engine_detail::ChooseBest(u_asn, merged, transform);
+    // OverrideBest needs a contiguous Adj-RIB-In view; build the merged row.
+    // MightOverride keeps this off every AS but the attacker.
+    std::vector<std::optional<Route>> merged(slots);
+    for (std::uint32_t slot = 0; slot < slots; ++slot) {
+      const std::optional<Route>* held = work.OverrideAt(u, slot);
+      merged[slot] = held != nullptr ? *held : work.BaseRibAt(u, slot);
     }
-  } else if (!has_overrides) {
-    chosen = engine_detail::ChooseBest(u_asn, base_rib, transform);
+    chosen = engine_detail::ChooseBest(u_asn, merged, transform);
   } else {
-    // Merged fold without materialization: same ascending slot order and
-    // same strict-BetterRoute fold as ChooseBest, so the pick is identical.
-    const std::optional<Route>* folded = nullptr;
-    for (std::uint32_t slot = 0;
-         slot < static_cast<std::uint32_t>(base_rib.size()); ++slot) {
-      const std::optional<Route>* candidate =
-          row->HasRibOverride(slot) ? &row->rib[slot] : &base_rib[slot];
-      if (!candidate->has_value()) continue;
-      if (folded == nullptr || BetterRoute(**candidate, **folded)) {
-        folded = candidate;
+    // One fold over the row's decision keys: an override's from its route,
+    // a baseline slot's from the sender's baseline best without building
+    // the route. Keys never tie (one sender per slot), so the winner is
+    // ChooseBest's pick, and only it is built.
+    RouteKey best_key;
+    std::uint32_t best_slot = slots;
+    for (std::uint32_t slot = 0; slot < slots; ++slot) {
+      const RouteKey* incumbent = best_slot < slots ? &best_key : nullptr;
+      if (const std::optional<Route>* held = work.OverrideAt(u, slot)) {
+        if (!held->has_value()) continue;
+        const RouteKey key = RouteKey::Of(**held);
+        if (incumbent != nullptr && !key.Beats(*incumbent)) continue;
+        best_key = key;
+      } else {
+        const topo::Edge& from = neighbors[slot];
+        const std::optional<RouteKey> key = engine_detail::DeliveryKeyBeating(
+            announcement, from.asn, from.asn == announcement.origin,
+            work.base->BestRoutes()[from.id], u_asn, topo::Reverse(from.rel),
+            incumbent);
+        if (!key.has_value()) continue;
+        best_key = *key;
       }
+      best_slot = slot;
     }
-    if (folded != nullptr) chosen = *folded;
+    if (best_slot < slots) {
+      const std::optional<Route>* held = work.OverrideAt(u, best_slot);
+      chosen = held != nullptr ? *held : work.BaseRibAt(u, best_slot);
+    }
   }
 
   if (chosen == work.BestOfIdx(u)) return false;

@@ -16,7 +16,11 @@
 //   * inside a row, Adj-RIB-In slot overrides are sized to the degree on the
 //     row's *first write* and then indexed directly — so per-slot access
 //     costs exactly what the full engine pays, and the only extra work over
-//     Resume() is allocating the touched rows instead of copying all n.
+//     Resume() is allocating the touched rows instead of copying all n,
+//   * a slot without an override is the baseline's, which the engine never
+//     stores or reads: it compares and ranks it from the sender's baseline
+//     best route without building it, and builds it only where a decision
+//     picks it (DESIGN.md §4h).
 //
 // Equivalence: both engines build every wire-visible action from the shared
 // kernels in bgp::engine_detail (propagation.h), process worklists in the
@@ -165,9 +169,13 @@ class DeltaPropagator {
   // Re-converges from `base` with `transform` in effect, seeding the
   // wavefront from `dirty` (typically just the attacker) — the incremental
   // equivalent of PropagationSimulator::Resume, bit-identical by
-  // construction. `base` must be converged state over the same graph; the
-  // result holds a reference to it (shared_ptr keeps it alive). `filter`
-  // gates imports through the shared engine_detail::ExportTo kernel,
+  // construction. `base` must be an attack-free, converged state over the
+  // same graph: every baseline Adj-RIB-In slot is derived from the sender's
+  // baseline best route, with no import filter, and a stored RIB is never
+  // read — what BaselineCache entries, snapshot baselines and
+  // Run(announcement) without a filter all are. The result holds a
+  // reference to `base` (shared_ptr keeps it alive). `filter` gates the
+  // attack's imports through the shared engine_detail::ExportTo kernel,
   // exactly as in the full engine.
   DeltaResult Propagate(std::shared_ptr<const PropagationResult> base,
                         RouteTransform* transform,

@@ -130,6 +130,72 @@ Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
   return out;
 }
 
+RouteKey RouteKey::Of(const Route& route) {
+  return RouteKey{route.LocalPref(), route.path.Length(), route.learned_from};
+}
+
+bool RouteKey::Beats(const RouteKey& other) const {
+  if (local_pref != other.local_pref) return local_pref > other.local_pref;
+  if (length != other.length) return length < other.length;
+  return learned_from < other.learned_from;
+}
+
+std::optional<RouteKey> DeliveryKeyBeating(const Announcement& announcement,
+                                           Asn u_asn, bool is_origin,
+                                           const std::optional<Route>& best,
+                                           Asn v_asn, Relation v_rel,
+                                           const RouteKey* incumbent) {
+  // BuildExport without a transform, then DeliverRoute. Without a transform
+  // the receiver-side loop check never fires: the sender-side one has already
+  // kept the receiver off the sender's path, and the pads are the sender's.
+  if (!is_origin && !best.has_value()) return std::nullopt;
+  const Relation out_class = is_origin ? Relation::kCustomer : best->effective;
+  if (!(is_origin ? MayExportOwn(v_rel) : MayExport(out_class, v_rel))) {
+    return std::nullopt;
+  }
+  const Relation rel = topo::Reverse(v_rel);
+  RouteKey key;
+  key.local_pref =
+      LocalPrefOf(rel == Relation::kSibling ? out_class : rel);
+  key.length =
+      static_cast<std::size_t>(announcement.prepends.PadsFor(u_asn, v_asn)) +
+      (is_origin ? 0 : best->path.Length());
+  key.learned_from = u_asn;
+  if (incumbent != nullptr && !key.Beats(*incumbent)) return std::nullopt;
+  if (!is_origin && best->path.Contains(v_asn)) return std::nullopt;
+  return key;
+}
+
+bool SameAsDelivery(const std::optional<Route>& delivered,
+                    const Announcement& announcement, Asn u_asn,
+                    bool is_origin, const std::optional<Route>& best,
+                    Asn v_asn, Relation v_rel) {
+  const std::optional<RouteKey> key = DeliveryKeyBeating(
+      announcement, u_asn, is_origin, best, v_asn, v_rel, nullptr);
+  if (!key.has_value() || !delivered.has_value()) {
+    return key.has_value() == delivered.has_value();
+  }
+  const Relation rel = topo::Reverse(v_rel);
+  const Relation effective =
+      rel == Relation::kSibling
+          ? (is_origin ? Relation::kCustomer : best->effective)
+          : rel;
+  if (delivered->learned_from != u_asn || delivered->rel != rel ||
+      delivered->effective != effective ||
+      delivered->path.Length() != key->length) {
+    return false;
+  }
+  // The sender's pads, then (past the origin) its best path.
+  const std::vector<Asn>& hops = delivered->path.Hops();
+  const std::size_t pads =
+      key->length - (is_origin ? 0 : best->path.Length());
+  const auto tail = hops.begin() + static_cast<std::ptrdiff_t>(pads);
+  return std::all_of(hops.begin(), tail,
+                     [u_asn](Asn hop) { return hop == u_asn; }) &&
+         (is_origin || std::equal(tail, hops.end(),
+                                  best->path.Hops().begin()));
+}
+
 std::optional<Route> ChooseBest(Asn u_asn,
                                 std::span<const std::optional<Route>> rib,
                                 RouteTransform* transform) {
@@ -176,13 +242,42 @@ double PropagationResult::FractionTraversing(Asn x) const {
          static_cast<double>(n - 2);
 }
 
+std::optional<Route> PropagationResult::RibAt(topo::AsId as,
+                                              std::uint32_t slot) const {
+  if (!rib_in_.empty()) return rib_in_[as][slot];
+  const topo::Edge& from = graph_->NeighborsAt(as)[slot];
+  return engine_detail::ExportTo(announcement_, from.asn,
+                                 from.asn == announcement_.origin,
+                                 best_[from.id],
+                                 graph_->NeighborsAt(from.id)[from.back_slot],
+                                 nullptr, nullptr)
+      .route;
+}
+
+void PropagationResult::StoreRibSlots() {
+  parent_slots_ = {};
+  if (!rib_in_.empty()) return;
+  std::vector<std::vector<std::optional<Route>>> rib(graph_->NumAses());
+  for (topo::AsId i = 0; i < rib.size(); ++i) {
+    rib[i].reserve(graph_->DegreeAt(i));
+    for (std::uint32_t slot = 0; slot < graph_->DegreeAt(i); ++slot) {
+      rib[i].push_back(RibAt(i, slot));
+    }
+  }
+  rib_in_ = std::move(rib);
+}
+
 PropagationResult::Checkpoint PropagationResult::ToCheckpoint() const {
   ASPPI_CHECK(converged_) << "only a converged state is a best-route tree";
   const std::size_t n = graph_->NumAses();
   Checkpoint checkpoint;
   checkpoint.rounds = rounds_;
-  checkpoint.parent_slots.assign(n, kNoParent);
   checkpoint.first_change_rounds = first_change_round_;
+  if (!parent_slots_.empty()) {
+    checkpoint.parent_slots = parent_slots_;
+    return checkpoint;
+  }
+  checkpoint.parent_slots.assign(n, kNoParent);
   for (std::size_t i = 0; i < n; ++i) {
     if (!best_[i].has_value()) continue;
     const auto neighbors = graph_->NeighborsAt(static_cast<topo::AsId>(i));
@@ -263,36 +358,29 @@ std::optional<PropagationResult> PropagationResult::FromCheckpoint(
       checkpoint.ParentsFirst(graph, &cycle_at);
   if (!order.has_value()) return fail(cycle_at, "parent links form a cycle");
 
-  // One export pass parents-first: an AS's parent has exported to it before
-  // its own turn, so its best route is already in its Adj-RIB-In.
+  // Parents-first, each AS's parent holds its best route by the AS's turn,
+  // so one export from the parent gives the AS its own.
   PropagationResult result;
   result.graph_ = &graph;
   result.announcement_ = std::move(announcement);
   result.rounds_ = checkpoint.rounds;
   result.first_change_round_ = std::move(checkpoint.first_change_rounds);
   result.best_.resize(n);
-  result.rib_in_.resize(n);
-  for (topo::AsId i = 0; i < n; ++i) {
-    result.rib_in_[i].resize(graph.DegreeAt(i));
-  }
   for (topo::AsId u : *order) {
-    if (parent_slots[u] != kNoParent) {
-      result.best_[u] = result.rib_in_[u][parent_slots[u]];
-      if (!result.best_[u].has_value()) {
-        return fail(u, "parent AS" +
-                           std::to_string(
-                               graph.NeighborsAt(u)[parent_slots[u]].asn) +
-                           " delivers it no route");
-      }
-    }
-    const Asn u_asn = graph.AsnAt(u);
-    for (const topo::Edge& edge : graph.NeighborsAt(u)) {
-      result.rib_in_[edge.id][edge.back_slot] =
-          engine_detail::ExportTo(result.announcement_, u_asn, u == origin,
-                                  result.best_[u], edge, nullptr, nullptr)
-              .route;
+    if (parent_slots[u] == kNoParent) continue;
+    const topo::Edge& up = graph.NeighborsAt(u)[parent_slots[u]];
+    result.best_[u] =
+        engine_detail::ExportTo(result.announcement_, up.asn, up.id == origin,
+                                result.best_[up.id],
+                                graph.NeighborsAt(up.id)[up.back_slot],
+                                nullptr, nullptr)
+            .route;
+    if (!result.best_[u].has_value()) {
+      return fail(u, "parent AS" + std::to_string(up.asn) +
+                         " delivers it no route");
     }
   }
+  result.parent_slots_ = std::move(checkpoint.parent_slots);
   return result;
 }
 
@@ -305,14 +393,14 @@ std::size_t PropagationResult::ReachableCount() const {
   return count;
 }
 
-std::string FirstDifference(const PropagationResult& got,
-                            const PropagationResult& want,
-                            const char* got_name, const char* want_name) {
+namespace {
+
+// FirstDifference past the round counts.
+std::string FirstRoutingDifference(const PropagationResult& got,
+                                   const PropagationResult& want,
+                                   const char* got_name,
+                                   const char* want_name) {
   const topo::AsGraph& graph = want.Graph();
-  if (got.Rounds() != want.Rounds()) {
-    return util::Format("rounds: %s %d, %s %d", got_name, got.Rounds(),
-                        want_name, want.Rounds());
-  }
   if (got.Converged() != want.Converged()) {
     return util::Format("converged: %s %d, %s %d", got_name, got.Converged(),
                         want_name, want.Converged());
@@ -334,17 +422,47 @@ std::string FirstDifference(const PropagationResult& got,
                           want.FirstChangeRounds()[i]);
     }
     const auto neighbors = graph.NeighborsAt(i);
-    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
-      if (got.RibIn()[i][slot] != want.RibIn()[i][slot]) {
+    for (std::uint32_t slot = 0; slot < neighbors.size(); ++slot) {
+      const std::optional<Route> got_slot = got.RibAt(i, slot);
+      const std::optional<Route> want_slot = want.RibAt(i, slot);
+      if (got_slot != want_slot) {
         return util::Format("AS%u Adj-RIB-In slot for AS%u: %s %s, %s %s", asn,
                             neighbors[slot].asn, got_name,
-                            RenderRoute(got.RibIn()[i][slot]).c_str(),
-                            want_name,
-                            RenderRoute(want.RibIn()[i][slot]).c_str());
+                            RenderRoute(got_slot).c_str(), want_name,
+                            RenderRoute(want_slot).c_str());
       }
     }
   }
   return "";
+}
+
+}  // namespace
+
+std::string FirstDifference(const PropagationResult& got,
+                            const PropagationResult& want,
+                            const char* got_name, const char* want_name) {
+  if (got.Rounds() != want.Rounds()) {
+    return util::Format("rounds: %s %d, %s %d", got_name, got.Rounds(),
+                        want_name, want.Rounds());
+  }
+  return FirstRoutingDifference(got, want, got_name, want_name);
+}
+
+std::string FirstBaselineDifference(const PropagationResult& built,
+                                    const PropagationResult& run,
+                                    const char* built_name) {
+  const topo::AsGraph& graph = run.Graph();
+  bool siblings = false;
+  for (topo::AsId i = 0; i < graph.NumAses() && !siblings; ++i) {
+    siblings = !graph.SiblingsAt(i).empty();
+  }
+  if (built.Rounds() > run.Rounds() ||
+      (!siblings && built.Rounds() != run.Rounds())) {
+    return util::Format("rounds: %s %d, Run %d%s", built_name, built.Rounds(),
+                        run.Rounds(),
+                        siblings ? "" : " (no sibling link: must be equal)");
+  }
+  return FirstRoutingDifference(built, run, built_name, "Run");
 }
 
 PropagationSimulator::PropagationSimulator(const topo::AsGraph& graph)
@@ -379,6 +497,7 @@ PropagationResult PropagationSimulator::Resume(const PropagationResult& prior,
                                                const ImportFilter* filter) const {
   ASPPI_CHECK(prior.graph_ == &graph_) << "state from a different graph";
   PropagationResult state = prior;
+  state.StoreRibSlots();
   state.rounds_ = 0;
   state.converged_ = true;
   std::fill(state.first_change_round_.begin(), state.first_change_round_.end(),

@@ -85,6 +85,41 @@ std::optional<Route> ChooseBest(Asn u_asn,
                                 std::span<const std::optional<Route>> rib,
                                 RouteTransform* transform);
 
+// What the decision process compares (route.h's BetterRoute): local pref,
+// length with pads, then the sender's ASN. Every slot of one Adj-RIB-In row
+// has its own sender, so two slots' keys never tie.
+struct RouteKey {
+  int local_pref = 0;
+  std::size_t length = 0;
+  Asn learned_from = 0;
+
+  static RouteKey Of(const Route& route);
+  // BetterRoute over the keys.
+  bool Beats(const RouteKey& other) const;
+};
+
+// The baseline's Adj-RIB-In, described without building it. In a converged,
+// attack-free, filterless state every slot of receiver (v_asn) for sender
+// u_asn holds what ExportTo(announcement, u_asn, is_origin, best, edge to v,
+// nullptr, nullptr) delivers, where `best` is u's best route and `v_rel` is
+// v's role relative to u. The two helpers below answer the delta engine's
+// questions about such a slot from `best` alone, without allocating a path;
+// they mirror BuildExport's rules, which live beside them.
+//
+// The key of the route that slot holds, if it holds one that beats
+// `incumbent` (any route beats nullptr); nullopt otherwise. The sender-side
+// loop check scans `best`'s path, so it runs only for a key that would win.
+std::optional<RouteKey> DeliveryKeyBeating(const Announcement& announcement,
+                                           Asn u_asn, bool is_origin,
+                                           const std::optional<Route>& best,
+                                           Asn v_asn, Relation v_rel,
+                                           const RouteKey* incumbent);
+// Whether `delivered` equals the route that slot holds (both absent counts).
+bool SameAsDelivery(const std::optional<Route>& delivered,
+                    const Announcement& announcement, Asn u_asn,
+                    bool is_origin, const std::optional<Route>& best,
+                    Asn v_asn, Relation v_rel);
+
 // Round cap of both engines. A run still exporting after this many rounds
 // stops there and is flagged not converged (Converged() == false): the
 // delta engine stops at the full engine's point because both read this one
@@ -113,7 +148,11 @@ class PropagationResult {
   // Round of the *first* best-route change of `asn` during the run that
   // produced this result (-1 if its best never changed in that run).
   int FirstChangeRound(Asn asn) const;
-  // Total rounds until convergence of the producing run.
+  // Rounds of the run that built this state: Run's and Resume's own count,
+  // or, for a state built from a checkpoint, the count the checkpoint holds
+  // (for a bgp::RoutingTree checkpoint, the deepest best path plus 1, which
+  // is never above Run's and on a graph without sibling links equals it —
+  // DESIGN.md §4b).
   int Rounds() const { return rounds_; }
   // False when the producing run hit the kMaxRounds cap before reaching a
   // fixpoint: a persistently oscillating policy (possible once adversarial
@@ -127,14 +166,17 @@ class PropagationResult {
   const topo::AsGraph& Graph() const { return *graph_; }
 
   // --- dense state ----------------------------------------------------------
-  // Indexed by the graph's dense AS index; RibIn() by [as][adjacency slot].
+  // Indexed by the graph's dense AS index.
   const std::vector<std::optional<Route>>& BestRoutes() const { return best_; }
   const std::vector<int>& FirstChangeRounds() const {
     return first_change_round_;
   }
-  const std::vector<std::vector<std::optional<Route>>>& RibIn() const {
-    return rib_in_;
-  }
+  // The Adj-RIB-In slot of AS `as` (dense id) for the neighbor at `slot` of
+  // its adjacency row. A state from Run, Resume or DeltaResult::Materialize
+  // returns the slot it stores. A state built from a checkpoint stores no
+  // Adj-RIB-In and derives the slot from that neighbor's best route through
+  // engine_detail::ExportTo, which is what the converged original holds.
+  std::optional<Route> RibAt(topo::AsId as, std::uint32_t slot) const;
 
   // --- checkpoints (data/snapshot.cc) --------------------------------------
   // A converged attack-free state is a best-route tree (paper §IV-B, Fig. 2):
@@ -159,18 +201,20 @@ class PropagationResult {
         const topo::AsGraph& graph, topo::AsId* cycle_at) const;
   };
   // Only for an attack-free, filterless, converged state — what
-  // Run(announcement) and attack::BaselineCache produce. Aborts on a state
-  // that did not converge or whose best route names a non-neighbor.
+  // Run(announcement) and attack::BaselineCache produce. A state built from
+  // a checkpoint returns the parent slots it keeps; any other looks each
+  // best route's neighbor up in its AS's row, and aborts on a state that did
+  // not converge or whose best route names a non-neighbor.
   Checkpoint ToCheckpoint() const;
-  // Rebuilds the state a checkpoint came from: best routes parents-first,
-  // each the ExportTo delivery from its parent, with every Adj-RIB-In slot
-  // filled in the same export pass — the kernels Run() uses, so the result
-  // is bit-identical to the converged original. Both arrays must hold
-  // graph.NumAses() entries (aborts otherwise). Returns nullopt and sets
-  // `*error` when the origin is not in the graph, or ("AS<asn>: ...") a
-  // parent slot is outside its AS's degree, the origin has a parent, the
-  // parent links form a cycle, or a parent delivers its child no route. It
-  // does not prove the tree is the fixpoint.
+  // Builds the state a checkpoint describes: best routes parents-first, each
+  // the ExportTo delivery from its parent — the kernel Run() uses, so the
+  // routes are bit-identical to the converged original's. The state keeps
+  // the parent slots and stores no Adj-RIB-In (RibAt derives it). Both
+  // arrays must hold graph.NumAses() entries (aborts otherwise). Returns
+  // nullopt and sets `*error` when the origin is not in the graph, or
+  // ("AS<asn>: ...") a parent slot is outside its AS's degree, the origin
+  // has a parent, the parent links form a cycle, or a parent delivers its
+  // child no route. It does not prove the tree is the fixpoint.
   static std::optional<PropagationResult> FromCheckpoint(
       const topo::AsGraph& graph, Announcement announcement,
       Checkpoint checkpoint, std::string* error);
@@ -187,6 +231,12 @@ class PropagationResult {
   friend class PropagationSimulator;
   friend class DeltaResult;  // Materialize() overlays its rows
 
+  // Stores every Adj-RIB-In slot a checkpoint-built state derives (RibAt)
+  // and drops the parent slots: the state is about to stop being a
+  // best-route tree (Resume, Materialize). A state that stores its slots
+  // keeps them.
+  void StoreRibSlots();
+
   const topo::AsGraph* graph_ = nullptr;
   Announcement announcement_;
   int rounds_ = 0;
@@ -195,18 +245,28 @@ class PropagationResult {
   std::vector<std::optional<Route>> best_;
   std::vector<int> first_change_round_;
   // Full Adj-RIB-In: rib_in_[as][slot] is the route last received from the
-  // neighbor at `slot` of that AS's adjacency list.
+  // neighbor at `slot` of that AS's adjacency list. Empty in a state built
+  // from a checkpoint, which keeps its parent slots instead.
   std::vector<std::vector<std::optional<Route>>> rib_in_;
+  std::vector<std::uint32_t> parent_slots_;
 };
 
 // The first difference between two states over graphs with the same dense
 // order, as one line naming it ("AS7 best route: snapshot [..] from AS3,
 // converged <none>"), or "" when the round counts, convergence flags, best
-// routes, change rounds and every Adj-RIB-In slot agree bit for bit.
-// `got_name` and `want_name` label the two sides.
+// routes, change rounds and every Adj-RIB-In slot (RibAt) agree bit for
+// bit. `got_name` and `want_name` label the two sides.
 std::string FirstDifference(const PropagationResult& got,
                             const PropagationResult& want,
                             const char* got_name, const char* want_name);
+
+// The gate a baseline built from a bgp::RoutingTree checkpoint is held to
+// against `run`, the converged Run(announcement) it stands for: the first
+// difference as FirstDifference names it, except that `built`'s round count
+// may be below run's on a graph with sibling links (DESIGN.md §4b), or "".
+std::string FirstBaselineDifference(const PropagationResult& built,
+                                    const PropagationResult& run,
+                                    const char* built_name);
 
 class PropagationSimulator {
  public:

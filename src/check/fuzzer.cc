@@ -196,6 +196,15 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
       outcome.fraction_after += 0.25;
     }
   }
+  // Leg 3a — the baseline the attack started from, leg 3's BaselineCache
+  // entry (built from the RoutingTree checkpoint), against leg 1's Run:
+  // every best route, change round and Adj-RIB-In slot, and a round count
+  // never above Run's (equal without sibling links).
+  if (std::string diff =
+          bgp::FirstBaselineDifference(*outcome.before, baseline, "cache");
+      !diff.empty()) {
+    out.push_back("diff-cached-baseline: " + diff);
+  }
   const ReferenceEngine::Outcome ref_outcome = oracle.RunInterception(
       announcement, instance->attacker, instance->violate_valley_free,
       instance->export_stripped_to_peers);

@@ -345,8 +345,8 @@ void Invariants::CheckStrategicAttack(
     for (const topo::Edge& nb : graph.NeighborsOf(colluder)) {
       const strategy::Directive& directive =
           program.DirectiveFor(colluder, nb.asn);
-      const std::optional<bgp::Route>& slot =
-          attacked.RibIn()[nb.id][nb.back_slot];
+      const std::optional<bgp::Route> slot =
+          attacked.RibAt(nb.id, nb.back_slot);
       const bool receiver_poisoned =
           std::find(directive.poison.begin(), directive.poison.end(),
                     nb.asn) != directive.poison.end();
@@ -536,13 +536,15 @@ void Invariants::CheckDefendedState(const topo::AsGraph& graph,
     // neighbor's own policies too.
     const std::span<const topo::Edge> neighbors =
         graph.NeighborsAt(static_cast<topo::AsId>(i));
-    const std::vector<std::optional<bgp::Route>>& rib = state.RibIn()[i];
-    for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+    for (std::uint32_t slot = 0; slot < neighbors.size(); ++slot) {
       const topo::Edge& nb = neighbors[slot];
       if (nb.asn == attacker) continue;  // rewritten exports, tag or not
       const std::uint8_t nb_tags = policy.TagsAt(nb.id);
-      if (nb_tags == 0 || !rib[slot].has_value()) continue;
-      const AsPath& path = rib[slot]->path;
+      if (nb_tags == 0) continue;
+      const std::optional<bgp::Route> held =
+          state.RibAt(static_cast<topo::AsId>(i), slot);
+      if (!held.has_value()) continue;
+      const AsPath& path = held->path;
       if ((nb_tags & defense::kRov) && path.OriginAs() != origin) {
         out.push_back(Format(
             "defense-rov-propagated: ROV AS%u exported [%s] originating at "

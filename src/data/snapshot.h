@@ -26,8 +26,9 @@
 //                  dense AS order. A parent slot is the position, in the AS's
 //                  own adjacency row, of the neighbor its best route came
 //                  from (0xFFFFFFFF: no route, and always for the origin) —
-//                  a converged baseline is a best-route tree, so every route
-//                  and Adj-RIB-In slot is derived from it at load.
+//                  a converged baseline is a best-route tree, so every best
+//                  route is derived from it at load and every Adj-RIB-In
+//                  slot on demand (PropagationResult::RibAt).
 //   kCsrGraph (5): the frozen AsGraph's CSR arrays verbatim, every array
 //                  8-byte aligned relative to the file start. Loading is
 //                  zero-copy: the graph's spans alias the mmap'ed region

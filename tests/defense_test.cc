@@ -164,7 +164,7 @@ TEST(NoLegitFiltering, FullDeploymentKeepsBaselineBitIdentical) {
   const bgp::PropagationResult defended = sim.Run(ann, nullptr, &everywhere);
   EXPECT_EQ(plain.Rounds(), defended.Rounds());
   EXPECT_EQ(plain.BestRoutes(), defended.BestRoutes());
-  EXPECT_EQ(plain.RibIn(), defended.RibIn());
+  EXPECT_EQ(bgp::FirstDifference(defended, plain, "defended", "plain"), "");
 }
 
 // --- deployment plans -------------------------------------------------------

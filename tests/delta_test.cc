@@ -68,7 +68,7 @@ void ExpectStatesIdentical(const PropagationResult& full,
   EXPECT_EQ(full.Rounds(), delta.Rounds());
   EXPECT_EQ(full.BestRoutes(), delta.BestRoutes());
   EXPECT_EQ(full.FirstChangeRounds(), delta.FirstChangeRounds());
-  EXPECT_EQ(full.RibIn(), delta.RibIn());
+  EXPECT_EQ(FirstDifference(delta, full, "delta", "full"), "");
 }
 
 // Runs one interception through both engines directly (no AttackSimulator)

@@ -136,8 +136,8 @@ TEST(Experiment, SweepThroughExperimentMatchesDirectComputation) {
   EXPECT_EQ(meta->Find("flags")->Find("threads")->AsString(), "4");
   const util::Json* counters = report->Find("metrics")->Find("counters");
   ASSERT_NE(counters, nullptr);
-  ASSERT_NE(counters->Find("bgp.propagation.runs"), nullptr);
-  EXPECT_GT(counters->Find("bgp.propagation.runs")->AsDouble(), 0.0);
+  ASSERT_NE(counters->Find("bgp.routing_tree.builds"), nullptr);
+  EXPECT_GT(counters->Find("bgp.routing_tree.builds")->AsDouble(), 0.0);
   const util::Json* json_rows = report->Find("rows");
   ASSERT_NE(json_rows, nullptr);
   ASSERT_EQ(json_rows->Items().size(), rows.size());

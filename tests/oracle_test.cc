@@ -92,14 +92,17 @@ std::vector<Corruption> AllCorruptions() {
        [](AttackOutcome& o) {
          std::size_t index = 0;
          DeltaRow& row = DeltaResultTestPeer::FirstRow(o.after, &index);
-         const auto& base_rib = o.before->RibIn()[index];
-         ASSERT_FALSE(base_rib.empty());
+         const std::size_t degree =
+             o.before->Graph().DegreeAt(static_cast<topo::AsId>(index));
+         ASSERT_NE(degree, 0u);
          if (row.rib.empty()) {
-           row.rib.resize(base_rib.size());
-           row.rib_mask.assign((base_rib.size() + 63) / 64, 0);
+           row.rib.resize(degree);
+           row.rib_mask.assign((degree + 63) / 64, 0);
          }
          const std::optional<Route> now =
-             row.HasRibOverride(0) ? row.rib[0] : base_rib[0];
+             row.HasRibOverride(0)
+                 ? row.rib[0]
+                 : o.before->RibAt(static_cast<topo::AsId>(index), 0);
          row.rib_mask[0] |= 1;
          row.rib[0] = Flipped(now);
        }},

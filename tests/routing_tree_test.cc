@@ -5,6 +5,7 @@
 #include <ostream>
 #include <string>
 
+#include "attack/baseline_cache.h"
 #include "bgp/propagation.h"
 #include "data/behavior.h"
 #include "topology/builders.h"
@@ -42,10 +43,28 @@ Route Held(const std::string& path, Asn from, Relation rel) {
   return Held(path, from, rel, rel);
 }
 
-// Every AS's tree route equals the one Run converges to, field for field.
+// The baseline the tree's checkpoint builds (what attack::BaselineCache
+// holds) against Run's, under FirstBaselineDifference's rule.
+void ExpectBaselineOfRun(const PropagationResult& built,
+                         const PropagationResult& run) {
+  EXPECT_EQ(FirstBaselineDifference(built, run, "tree"), "")
+      << "origin AS" << run.GetAnnouncement().origin;
+}
+
+PropagationResult BuiltFromTree(const AsGraph& graph, const Announcement& ann) {
+  std::string error;
+  std::optional<PropagationResult> built = PropagationResult::FromCheckpoint(
+      graph, ann, RoutingTree(graph, ann).Checkpoint(), &error);
+  EXPECT_TRUE(built.has_value()) << error;
+  return std::move(*built);
+}
+
+// Every AS's tree route equals the one Run converges to, field for field,
+// and so does the whole baseline its checkpoint builds.
 void ExpectSameRoutesAsRun(const AsGraph& graph, const Announcement& ann) {
   const RoutingTree tree(graph, ann);
   const PropagationResult run = PropagationSimulator(graph).Run(ann);
+  ExpectBaselineOfRun(BuiltFromTree(graph, ann), run);
   std::size_t differing = 0;
   for (topo::AsId id = 0; id < graph.NumAses(); ++id) {
     const Asn asn = graph.AsnAt(id);
@@ -250,6 +269,51 @@ TEST(RoutingTree, MatchesRunOnEveryAsAtInternet2026) {
   ann.origin = gen.stubs[1];
   model.BuildPolicy(gen.graph, ann.origin, rng, ann.prepends);
   ExpectSameRoutesAsRun(gen.graph, ann);
+}
+
+TEST(RoutingTree, CachedBaselinesMatchRunAtInternet2026) {
+  // The scale gate for the baselines every attack starts from: a tier-1, a
+  // stub and a behaviour-model victim, each BaselineCache entry against Run.
+  const topo::GeneratedTopology gen =
+      topo::GenerateInternetTopology(topo::Internet2026Params());
+  attack::BaselineCache cache(gen.graph);
+  std::vector<Announcement> announcements = {Announce(gen.tier1[0], 3),
+                                             Announce(gen.stubs[2], 4)};
+  util::Rng rng(util::DeriveSeed(2026, 2));
+  data::BehaviorParams behavior;
+  behavior.prepend_prob = 0.9;
+  behavior.intermediary_prob = 0.1;
+  const data::AsppBehaviorModel model(behavior, 2026);
+  Announcement modelled;
+  modelled.origin = gen.stubs[3];
+  model.BuildPolicy(gen.graph, modelled.origin, rng, modelled.prepends);
+  announcements.push_back(modelled);
+  for (const Announcement& ann : announcements) {
+    ExpectBaselineOfRun(*cache.GetEntry(ann).state,
+                        PropagationSimulator(gen.graph).Run(ann));
+  }
+}
+
+TEST(RoutingTree, SiblingTransportCanEndTheTreeCountARoundEarly) {
+  // With sibling links, class transport can let an AS hold a route that is
+  // withdrawn a round later; Run counts that round, the tree's closed form
+  // does not. Everything else still agrees. AS60 is one of 31 such victims
+  // of this 345-AS topology at λ=3 (parallel_sweep_test's SweepTopo(91)).
+  topo::GeneratorParams params;
+  params.seed = 91;
+  params.num_tier1 = 5;
+  params.num_tier2 = 25;
+  params.num_tier3 = 60;
+  params.num_stubs = 250;
+  params.num_content = 5;
+  const topo::GeneratedTopology gen = topo::GenerateInternetTopology(params);
+  const Announcement ann = Announce(60, 3);
+  const PropagationResult run = PropagationSimulator(gen.graph).Run(ann);
+  const PropagationResult built = BuiltFromTree(gen.graph, ann);
+  EXPECT_EQ(run.Rounds(), 6);
+  EXPECT_EQ(built.Rounds(), 5);
+  EXPECT_EQ(FirstDifference(built, run, "tree", "Run"), "rounds: tree 5, Run 6");
+  ExpectBaselineOfRun(built, run);
 }
 
 }  // namespace

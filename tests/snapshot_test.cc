@@ -21,6 +21,7 @@
 #include "topology/generator.h"
 #include "topology/serialization.h"
 #include "util/crc32.h"
+#include "util/rng.h"
 
 namespace asppi::data {
 namespace {
@@ -116,7 +117,6 @@ void ExpectSameState(const bgp::PropagationResult& converged,
   EXPECT_TRUE(converged.BestRoutes() == loaded.BestRoutes()) << diff;
   EXPECT_TRUE(converged.FirstChangeRounds() == loaded.FirstChangeRounds())
       << diff;
-  EXPECT_TRUE(converged.RibIn() == loaded.RibIn()) << diff;
 }
 
 // Each origin's attack-free baseline, announced with λ=4.
@@ -615,6 +615,123 @@ TEST(Snapshot, LoadRejectsParentSlotsThatAreNotABestRouteTree) {
                      std::to_string(graph.NumAses()) + " ASes need"),
             std::string::npos)
       << err;
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, SeededMutationsOfPolicyAndBaselinesLoadOrFailCleanly) {
+  // 2,000 seeded mutations of a small snapshot's kPolicy and kBaselines
+  // payloads, each behind a repaired CRC so it reaches the section parsers:
+  // parent slots, change rounds, the round count, pad counts and the
+  // length fields. Every mutated file must load (and its baselines index
+  // like a served snapshot's) or return an error; none may abort.
+  constexpr std::uint64_t kSeed = 23;
+  constexpr std::size_t kMutations = 2000;
+  const auto gen = SmallTopology();
+  const topo::AsGraph& graph = gen.graph;
+  const std::size_t n = graph.NumAses();
+  bgp::Announcement announcement;
+  announcement.origin = gen.stubs[0];
+  announcement.prepends.SetDefault(announcement.origin, 3);
+  const topo::Asn first_neighbor = graph.NeighborsOf(gen.stubs[0])[0].asn;
+  announcement.prepends.SetForNeighbor(announcement.origin, first_neighbor, 5);
+  attack::BaselineCache cache(graph);
+  bgp::PrependPolicy policy;
+  policy.SetDefault(gen.tier1[0], 4);
+  policy.SetForNeighbor(gen.tier1[1], gen.tier1[2], 2);
+  const std::string path = TempPath("mutated.snap");
+  ASSERT_EQ(WriteSnapshotFile(path, graph, policy,
+                              {cache.GetEntry(announcement).state}, "t"),
+            "");
+  const std::string bytes = ReadFile(path);
+  const auto policy_entry = FindSection(bytes, kPolicySectionType);
+  const auto baselines_entry = FindSection(bytes, kBaselinesSectionType);
+  ASSERT_TRUE(policy_entry.has_value());
+  ASSERT_TRUE(baselines_entry.has_value());
+
+  // Field offsets within each section. A policy is u64 defaults | defaults ×
+  // {u32 asn | i32 pads} | u64 overrides | overrides × {u32 | u32 | i32}; a
+  // baseline record is u32 origin | its policy | i32 rounds | n × u32 parent
+  // slots | n × i32 change rounds, after kBaselines' u64 count.
+  struct Field {
+    const TableEntry* section;
+    std::size_t at;
+    int width;
+  };
+  const auto policy_fields = [](const TableEntry* section, std::size_t at) {
+    // One default and one override, as written above.
+    return std::vector<Field>{{section, at, 8},
+                              {section, at + 8 + 4, 4},
+                              {section, at + 16, 8},
+                              {section, at + 24 + 8, 4}};
+  };
+  std::vector<Field> fields = policy_fields(&*policy_entry, 0);
+  const std::vector<Field> baseline_policy =
+      policy_fields(&*baselines_entry, 12);
+  fields.insert(fields.end(), baseline_policy.begin(), baseline_policy.end());
+  fields.push_back({&*baselines_entry, 0, 8});  // baseline count
+  fields.push_back({&*baselines_entry, 8, 4});  // origin
+  const std::size_t rounds_at = 12 + 36;
+  ASSERT_EQ(rounds_at + 4 + 8 * n, baselines_entry->size);
+  fields.push_back({&*baselines_entry, rounds_at, 4});
+  const std::size_t slots_at = rounds_at + 4;
+  const std::size_t changes_at = slots_at + 4 * n;
+
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutations; ++i) {
+    util::Rng rng(util::DeriveSeed(kSeed, i));
+    std::string crafted = bytes;
+    const auto value = [&rng](std::uint64_t original) -> std::uint64_t {
+      switch (rng.Below(4)) {
+        case 0: return original + 1;
+        case 1: return original - 1;
+        case 2: return rng.Below(70);
+        default: return rng();
+      }
+    };
+    const std::size_t edits = 1 + rng.Below(3);
+    for (std::size_t e = 0; e < edits; ++e) {
+      Field field;
+      switch (rng.Below(4)) {
+        case 0: {  // a parent slot
+          const topo::AsId as = static_cast<topo::AsId>(rng.Below(n));
+          field = {&*baselines_entry, slots_at + 4 * as, 4};
+          if (rng.Chance(0.5)) {
+            StoreLe(crafted, field.section->offset + field.at, 4,
+                    rng.Chance(0.2) ? bgp::PropagationResult::kNoParent
+                                    : rng.Below(graph.DegreeAt(as) + 1));
+            continue;
+          }
+          break;
+        }
+        case 1: {  // a change round
+          const topo::AsId as = static_cast<topo::AsId>(rng.Below(n));
+          field = {&*baselines_entry, changes_at + 4 * as, 4};
+          break;
+        }
+        default:  // rounds, a pad count, a length, the origin
+          field = fields[rng.Below(fields.size())];
+          break;
+      }
+      const std::size_t at = field.section->offset + field.at;
+      StoreLe(crafted, at, field.width,
+              value(LoadLe(crafted, at, field.width)));
+    }
+    RestampCrc(crafted, *policy_entry);
+    RestampCrc(crafted, *baselines_entry);
+    WriteFile(path, crafted);
+    Snapshot snapshot;
+    if (!Snapshot::Load(path, snapshot).empty()) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    attack::BaselineCache served(snapshot.Graph());
+    for (const auto& baseline : snapshot.Baselines()) served.Put(baseline);
+  }
+  EXPECT_EQ(loaded + rejected, kMutations);
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
   std::remove(path.c_str());
 }
 

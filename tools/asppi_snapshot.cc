@@ -17,8 +17,9 @@
 // origin (announced with the snapshot policy overlaid by a uniform --lambda
 // default) and embeds the checkpoints, so a server warm-starts without
 // running propagation. --verify reloads the written file and cross-checks
-// the graph, policy and every derived baseline state against the
-// text-loaded corpus and the converged baselines before reporting success.
+// the graph and policy against the text-loaded corpus, and every derived
+// baseline state against PropagationSimulator::Run, before reporting
+// success.
 #include <cstdio>
 #include <set>
 
@@ -175,8 +176,8 @@ int main(int argc, char** argv) {
                        "and exit");
   e.Flags().DefineBool("verify", false,
                        "reload the written snapshot and cross-check it "
-                       "against the text-loaded corpus and the converged "
-                       "baselines");
+                       "against the text-loaded corpus, and each baseline "
+                       "against a fresh propagation run");
   int lambda = 0;
   if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
@@ -276,20 +277,23 @@ int main(int argc, char** argv) {
                    "text-loaded corpus\n");
       return 1;
     }
-    // Each baseline the loader derived from its parent slots must be the
-    // converged state itself: rounds, every best route, change round and
-    // Adj-RIB-In slot.
+    // Each baseline the loader derived from its parent slots must be what
+    // an independent engine converges to, PropagationSimulator::Run: every
+    // best route, change round and Adj-RIB-In slot, and a round count never
+    // above Run's (bgp::FirstBaselineDifference).
+    const bgp::PropagationSimulator engine(reloaded.Graph());
     for (std::size_t i = 0; i < baselines.size(); ++i) {
-      const std::string diff = bgp::FirstDifference(
-          *reloaded.Baselines()[i], *baselines[i], "snapshot", "converged");
+      const bgp::PropagationResult& loaded = *reloaded.Baselines()[i];
+      const std::string diff = bgp::FirstBaselineDifference(
+          loaded, engine.Run(loaded.GetAnnouncement()), "snapshot");
       if (!diff.empty()) {
         std::fprintf(stderr, "verify failed: baseline %zu (origin AS%u): %s\n",
                      i, baselines[i]->GetAnnouncement().origin, diff.c_str());
         return 1;
       }
     }
-    e.Note("verify: snapshot round-trips the text-loaded corpus and %zu "
-           "baseline(s)",
+    e.Note("verify: snapshot round-trips the text-loaded corpus, and %zu "
+           "baseline(s) match a fresh propagation run",
            baselines.size());
   }
 
