@@ -59,14 +59,14 @@ BaselineEntry BaselineCache::GetEntry(const bgp::Announcement& announcement) {
     // waiters for *this* key block on the future instead of the mutex.
     util::ScopedTimer compute_timer(Instr().compute);
     try {
-      // The paper's Fig. 2 tree gives Run's best routes and change rounds;
-      // FromCheckpoint derives the routes from it. An error here would be a
-      // tree bug, not bad input.
+      // The paper's Fig. 2 tree gives Run's best routes; FromParentSlots
+      // derives them from its parent slots. An error here would be a tree
+      // bug, not bad input.
       std::string error;
       std::optional<bgp::PropagationResult> state =
-          bgp::PropagationResult::FromCheckpoint(
+          bgp::PropagationResult::FromParentSlots(
               graph_, announcement,
-              bgp::RoutingTree(graph_, announcement).Checkpoint(), &error);
+              bgp::RoutingTree(graph_, announcement).ParentSlots(), &error);
       ASPPI_CHECK(state.has_value())
           << "baseline of origin AS" << announcement.origin << ": " << error;
       BaselineEntry entry;

@@ -11,8 +11,10 @@
 // when its caller passes none) then warm-starts each attack from it through
 // bgp::DeltaPropagator::Propagate(). A miss builds the baseline as the
 // paper's Fig. 2 best-route tree (bgp::RoutingTree) in one pass, through
-// PropagationResult::FromCheckpoint: best routes, parent slots and change
-// rounds, and no stored Adj-RIB-In.
+// PropagationResult::FromParentSlots: best routes and parent slots, no
+// stored Adj-RIB-In, and at rest (Rounds() 0, every change round -1) — an
+// attack's timing is counted from its own resume point, never from the
+// baseline's.
 //
 // Alongside the converged state, each entry carries a bgp::TraversalIndex
 // built once per baseline from its best-route tree: subtree sizes that
@@ -68,7 +70,7 @@ class BaselineCache {
   }
 
   // Pre-seeds the entry for `baseline`'s announcement (snapshot warm-load:
-  // the baselines data/snapshot.cc derives from its checkpoints go straight
+  // the baselines data/snapshot.cc derives from its parent slots go straight
   // into the cache), building its traversal index eagerly. A later lookup for
   // the same announcement is a hit; Put over an existing entry is a no-op so
   // a computed state is never replaced.

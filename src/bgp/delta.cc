@@ -39,17 +39,17 @@ DeltaMetrics& Instr() {
 TraversalIndex::TraversalIndex(const PropagationResult& baseline)
     : graph_(&baseline.Graph()),
       origin_(graph_->IndexOf(baseline.GetAnnouncement().origin)) {
-  const PropagationResult::Checkpoint checkpoint = baseline.ToCheckpoint();
+  const std::vector<std::uint32_t> parent_slots = baseline.ParentSlots();
   topo::AsId cycle_at = 0;
   const std::optional<std::vector<topo::AsId>> order =
-      checkpoint.ParentsFirst(*graph_, &cycle_at);
+      ParentsFirst(*graph_, parent_slots, &cycle_at);
   ASPPI_CHECK(order.has_value())
       << "best routes form a cycle at AS" << graph_->AsnAt(cycle_at);
   const std::size_t n = graph_->NumAses();
   parent_.assign(n, kNoParent);
   size_.assign(n, 1);
   for (topo::AsId i = 0; i < n; ++i) {
-    const std::uint32_t slot = checkpoint.parent_slots[i];
+    const std::uint32_t slot = parent_slots[i];
     if (slot != PropagationResult::kNoParent) {
       parent_[i] = graph_->NeighborsAt(i)[slot].id;
     }
@@ -189,12 +189,8 @@ struct DeltaPropagator::Work {
     const topo::AsGraph& graph = base->Graph();
     const topo::Edge& from =
         graph.NeighborsAt(static_cast<topo::AsId>(index))[slot];
-    const Announcement& announcement = base->GetAnnouncement();
-    return engine_detail::ExportTo(
-               announcement, from.asn, from.asn == announcement.origin,
-               base->BestRoutes()[from.id],
-               graph.NeighborsAt(from.id)[from.back_slot], nullptr, nullptr)
-        .route;
+    return engine_detail::AttackFreeSlot(graph, base->GetAnnouncement(), from,
+                                         base->BestRoutes()[from.id]);
   }
   void SetRib(std::size_t index, std::uint32_t slot,
               std::optional<Route> value) {

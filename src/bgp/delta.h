@@ -54,13 +54,13 @@ namespace asppi::bgp {
 // attack-free baseline is a best-route tree (paper Fig. 2): AS a's best path
 // contains x exactly when x is an ancestor of a in that tree, so the count
 // for x is x's subtree size minus 1. Built in O(n) from the baseline's
-// checkpoint parent slots (PropagationResult::ToCheckpoint) with one pass
-// over their parents-first order; BaselineCache builds one per cached
+// parent slots (PropagationResult::ParentSlots) with one pass over their
+// parents-first order; BaselineCache builds one per cached
 // baseline, and AttackSimulator adjusts its counts over the attack's touched
 // ASes only.
 class TraversalIndex {
  public:
-  // `baseline` must be attack-free and converged (ToCheckpoint aborts
+  // `baseline` must be attack-free and converged (ParentSlots aborts
   // otherwise) — what BaselineCache holds.
   explicit TraversalIndex(const PropagationResult& baseline);
 

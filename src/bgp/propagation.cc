@@ -130,6 +130,16 @@ Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
   return out;
 }
 
+std::optional<Route> AttackFreeSlot(const topo::AsGraph& graph,
+                                    const Announcement& announcement,
+                                    const topo::Edge& from,
+                                    const std::optional<Route>& from_best) {
+  return ExportTo(announcement, from.asn, from.asn == announcement.origin,
+                  from_best, graph.NeighborsAt(from.id)[from.back_slot],
+                  nullptr, nullptr)
+      .route;
+}
+
 RouteKey RouteKey::Of(const Route& route) {
   return RouteKey{route.LocalPref(), route.path.Length(), route.learned_from};
 }
@@ -246,12 +256,8 @@ std::optional<Route> PropagationResult::RibAt(topo::AsId as,
                                               std::uint32_t slot) const {
   if (!rib_in_.empty()) return rib_in_[as][slot];
   const topo::Edge& from = graph_->NeighborsAt(as)[slot];
-  return engine_detail::ExportTo(announcement_, from.asn,
-                                 from.asn == announcement_.origin,
-                                 best_[from.id],
-                                 graph_->NeighborsAt(from.id)[from.back_slot],
-                                 nullptr, nullptr)
-      .route;
+  return engine_detail::AttackFreeSlot(*graph_, announcement_, from,
+                                       best_[from.id]);
 }
 
 void PropagationResult::StoreRibSlots() {
@@ -267,17 +273,11 @@ void PropagationResult::StoreRibSlots() {
   rib_in_ = std::move(rib);
 }
 
-PropagationResult::Checkpoint PropagationResult::ToCheckpoint() const {
+std::vector<std::uint32_t> PropagationResult::ParentSlots() const {
   ASPPI_CHECK(converged_) << "only a converged state is a best-route tree";
+  if (!parent_slots_.empty()) return parent_slots_;
   const std::size_t n = graph_->NumAses();
-  Checkpoint checkpoint;
-  checkpoint.rounds = rounds_;
-  checkpoint.first_change_rounds = first_change_round_;
-  if (!parent_slots_.empty()) {
-    checkpoint.parent_slots = parent_slots_;
-    return checkpoint;
-  }
-  checkpoint.parent_slots.assign(n, kNoParent);
+  std::vector<std::uint32_t> parent_slots(n, kNoParent);
   for (std::size_t i = 0; i < n; ++i) {
     if (!best_[i].has_value()) continue;
     const auto neighbors = graph_->NeighborsAt(static_cast<topo::AsId>(i));
@@ -287,15 +287,15 @@ PropagationResult::Checkpoint PropagationResult::ToCheckpoint() const {
         });
     ASPPI_CHECK(parent != neighbors.end())
         << "AS" << graph_->AsnAt(i) << " holds a route from a non-neighbor";
-    checkpoint.parent_slots[i] =
-        static_cast<std::uint32_t>(parent - neighbors.begin());
+    parent_slots[i] = static_cast<std::uint32_t>(parent - neighbors.begin());
   }
-  return checkpoint;
+  return parent_slots;
 }
 
-std::optional<std::vector<topo::AsId>>
-PropagationResult::Checkpoint::ParentsFirst(const topo::AsGraph& graph,
-                                            topo::AsId* cycle_at) const {
+std::optional<std::vector<topo::AsId>> ParentsFirst(
+    const topo::AsGraph& graph, std::span<const std::uint32_t> parent_slots,
+    topo::AsId* cycle_at) {
+  constexpr std::uint32_t kNoParent = PropagationResult::kNoParent;
   // Walk each AS's parent chain up to an AS already placed (or a root), then
   // place the chain top-down. Meeting an AS of the chain being walked again
   // closes a cycle.
@@ -325,18 +325,16 @@ PropagationResult::Checkpoint::ParentsFirst(const topo::AsGraph& graph,
   return order;
 }
 
-std::optional<PropagationResult> PropagationResult::FromCheckpoint(
+std::optional<PropagationResult> PropagationResult::FromParentSlots(
     const topo::AsGraph& graph, Announcement announcement,
-    Checkpoint checkpoint, std::string* error) {
+    std::vector<std::uint32_t> parent_slots, std::string* error) {
   const std::size_t n = graph.NumAses();
-  const std::vector<std::uint32_t>& parent_slots = checkpoint.parent_slots;
   const auto fail = [&](topo::AsId id, const std::string& why) {
     *error = "AS" + std::to_string(graph.AsnAt(id)) + ": " + why;
     return std::nullopt;
   };
-  ASPPI_CHECK(parent_slots.size() == n &&
-              checkpoint.first_change_rounds.size() == n)
-      << "checkpoint arrays do not cover the graph";
+  ASPPI_CHECK(parent_slots.size() == n)
+      << "parent slots do not cover the graph";
   if (!graph.HasAs(announcement.origin)) {
     *error = "origin AS" + std::to_string(announcement.origin) +
              " not in the graph";
@@ -355,7 +353,7 @@ std::optional<PropagationResult> PropagationResult::FromCheckpoint(
 
   topo::AsId cycle_at = 0;
   const std::optional<std::vector<topo::AsId>> order =
-      checkpoint.ParentsFirst(graph, &cycle_at);
+      ParentsFirst(graph, parent_slots, &cycle_at);
   if (!order.has_value()) return fail(cycle_at, "parent links form a cycle");
 
   // Parents-first, each AS's parent holds its best route by the AS's turn,
@@ -363,24 +361,19 @@ std::optional<PropagationResult> PropagationResult::FromCheckpoint(
   PropagationResult result;
   result.graph_ = &graph;
   result.announcement_ = std::move(announcement);
-  result.rounds_ = checkpoint.rounds;
-  result.first_change_round_ = std::move(checkpoint.first_change_rounds);
+  result.first_change_round_.assign(n, -1);
   result.best_.resize(n);
   for (topo::AsId u : *order) {
     if (parent_slots[u] == kNoParent) continue;
     const topo::Edge& up = graph.NeighborsAt(u)[parent_slots[u]];
-    result.best_[u] =
-        engine_detail::ExportTo(result.announcement_, up.asn, up.id == origin,
-                                result.best_[up.id],
-                                graph.NeighborsAt(up.id)[up.back_slot],
-                                nullptr, nullptr)
-            .route;
+    result.best_[u] = engine_detail::AttackFreeSlot(
+        graph, result.announcement_, up, result.best_[up.id]);
     if (!result.best_[u].has_value()) {
       return fail(u, "parent AS" + std::to_string(up.asn) +
                          " delivers it no route");
     }
   }
-  result.parent_slots_ = std::move(checkpoint.parent_slots);
+  result.parent_slots_ = std::move(parent_slots);
   return result;
 }
 
@@ -395,11 +388,11 @@ std::size_t PropagationResult::ReachableCount() const {
 
 namespace {
 
-// FirstDifference past the round counts.
-std::string FirstRoutingDifference(const PropagationResult& got,
-                                   const PropagationResult& want,
-                                   const char* got_name,
-                                   const char* want_name) {
+// FirstDifference past the round counts; change rounds only when `timing`.
+std::string FirstStateDifference(const PropagationResult& got,
+                                 const PropagationResult& want,
+                                 const char* got_name, const char* want_name,
+                                 bool timing) {
   const topo::AsGraph& graph = want.Graph();
   if (got.Converged() != want.Converged()) {
     return util::Format("converged: %s %d, %s %d", got_name, got.Converged(),
@@ -416,7 +409,7 @@ std::string FirstRoutingDifference(const PropagationResult& got,
                           RenderRoute(got.BestRoutes()[i]).c_str(), want_name,
                           RenderRoute(want.BestRoutes()[i]).c_str());
     }
-    if (got.FirstChangeRounds()[i] != want.FirstChangeRounds()[i]) {
+    if (timing && got.FirstChangeRounds()[i] != want.FirstChangeRounds()[i]) {
       return util::Format("AS%u change round: %s %d, %s %d", asn, got_name,
                           got.FirstChangeRounds()[i], want_name,
                           want.FirstChangeRounds()[i]);
@@ -445,24 +438,14 @@ std::string FirstDifference(const PropagationResult& got,
     return util::Format("rounds: %s %d, %s %d", got_name, got.Rounds(),
                         want_name, want.Rounds());
   }
-  return FirstRoutingDifference(got, want, got_name, want_name);
+  return FirstStateDifference(got, want, got_name, want_name,
+                              /*timing=*/true);
 }
 
 std::string FirstBaselineDifference(const PropagationResult& built,
                                     const PropagationResult& run,
                                     const char* built_name) {
-  const topo::AsGraph& graph = run.Graph();
-  bool siblings = false;
-  for (topo::AsId i = 0; i < graph.NumAses() && !siblings; ++i) {
-    siblings = !graph.SiblingsAt(i).empty();
-  }
-  if (built.Rounds() > run.Rounds() ||
-      (!siblings && built.Rounds() != run.Rounds())) {
-    return util::Format("rounds: %s %d, Run %d%s", built_name, built.Rounds(),
-                        run.Rounds(),
-                        siblings ? "" : " (no sibling link: must be equal)");
-  }
-  return FirstRoutingDifference(built, run, built_name, "Run");
+  return FirstStateDifference(built, run, built_name, "Run", /*timing=*/false);
 }
 
 PropagationSimulator::PropagationSimulator(const topo::AsGraph& graph)

@@ -50,10 +50,10 @@ struct Announcement {
 
 // Shared per-edge kernels of the engines. PropagationSimulator (full state)
 // and DeltaPropagator (sparse overlay, bgp/delta.h) build their exports and
-// decisions from these, and PropagationResult::FromCheckpoint and
-// RoutingTree derive their routes with ExportTo, so every engine agrees bit
-// for bit on every wire-visible action by construction — the equivalence the
-// delta engine's correctness proof (DESIGN.md §4h) and its Resume oracle
+// decisions from these, and PropagationResult::FromParentSlots and
+// RoutingTree derive their routes with AttackFreeSlot, so every engine agrees
+// bit for bit on every wire-visible action by construction — the equivalence
+// the delta engine's correctness proof (DESIGN.md §4h) and its Resume oracle
 // (attack::DiffAgainstResume) rest on.
 namespace engine_detail {
 
@@ -79,6 +79,17 @@ Delivery ExportTo(const Announcement& announcement, Asn u_asn, bool is_origin,
                   const std::optional<Route>& best, const topo::Edge& to,
                   RouteTransform* transform, const ImportFilter* filter);
 
+// What an attack-free, filterless state holds in one Adj-RIB-In slot once
+// it has converged: ExportTo's route with no transform and no filter, from
+// the neighbor `from` names (the edge in the receiver's own row) and that
+// neighbor's best route `from_best`. A baseline's slots (RibAt, the delta
+// engine's reads) and the best routes of a best-route tree (each AS's is
+// its parent's slot) are all this one derivation.
+std::optional<Route> AttackFreeSlot(const topo::AsGraph& graph,
+                                    const Announcement& announcement,
+                                    const topo::Edge& from,
+                                    const std::optional<Route>& from_best);
+
 // The decision process over a contiguous Adj-RIB-In, including the
 // transform's OverrideBest hook (consulted only where MightOverride allows).
 std::optional<Route> ChooseBest(Asn u_asn,
@@ -100,11 +111,10 @@ struct RouteKey {
 
 // The baseline's Adj-RIB-In, described without building it. In a converged,
 // attack-free, filterless state every slot of receiver (v_asn) for sender
-// u_asn holds what ExportTo(announcement, u_asn, is_origin, best, edge to v,
-// nullptr, nullptr) delivers, where `best` is u's best route and `v_rel` is
-// v's role relative to u. The two helpers below answer the delta engine's
-// questions about such a slot from `best` alone, without allocating a path;
-// they mirror BuildExport's rules, which live beside them.
+// u_asn holds AttackFreeSlot's route, derived from `best`, u's best route;
+// `v_rel` is v's role relative to u. The two helpers below answer the delta
+// engine's questions about such a slot from `best` alone, without allocating
+// a path; they mirror BuildExport's rules, which live beside them.
 //
 // The key of the route that slot holds, if it holds one that beats
 // `incumbent` (any route beats nullptr); nullopt otherwise. The sender-side
@@ -146,13 +156,12 @@ class PropagationResult {
   // route).
   const std::optional<Route>& BestAt(Asn asn) const;
   // Round of the *first* best-route change of `asn` during the run that
-  // produced this result (-1 if its best never changed in that run).
+  // produced this result (-1 if its best never changed in that run). A
+  // state built from parent slots is at rest, as Resume and Materialize
+  // first reset a prior state to: -1 for every AS.
   int FirstChangeRound(Asn asn) const;
   // Rounds of the run that built this state: Run's and Resume's own count,
-  // or, for a state built from a checkpoint, the count the checkpoint holds
-  // (for a bgp::RoutingTree checkpoint, the deepest best path plus 1, which
-  // is never above Run's and on a graph without sibling links equals it —
-  // DESIGN.md §4b).
+  // and 0 for a state built from parent slots (no run built it).
   int Rounds() const { return rounds_; }
   // False when the producing run hit the kMaxRounds cap before reaching a
   // fixpoint: a persistently oscillating policy (possible once adversarial
@@ -173,51 +182,40 @@ class PropagationResult {
   }
   // The Adj-RIB-In slot of AS `as` (dense id) for the neighbor at `slot` of
   // its adjacency row. A state from Run, Resume or DeltaResult::Materialize
-  // returns the slot it stores. A state built from a checkpoint stores no
-  // Adj-RIB-In and derives the slot from that neighbor's best route through
-  // engine_detail::ExportTo, which is what the converged original holds.
+  // returns the slot it stores. A state built from parent slots stores no
+  // Adj-RIB-In and derives the slot from that neighbor's best route
+  // (engine_detail::AttackFreeSlot), which is what the converged original
+  // holds.
   std::optional<Route> RibAt(topo::AsId as, std::uint32_t slot) const;
 
-  // --- checkpoints (data/snapshot.cc) --------------------------------------
+  // --- parent slots (data/snapshot.cc) -------------------------------------
   // A converged attack-free state is a best-route tree (paper §IV-B, Fig. 2):
   // every AS's best route is what one neighbor's best route exports to it,
-  // and every Adj-RIB-In slot is what that neighbor exports now. So a
-  // checkpoint stores, per AS, only the adjacency slot of the neighbor its
-  // best route came from and its first change round — 8 bytes per AS.
+  // and every Adj-RIB-In slot is what that neighbor exports now. So the
+  // whole state is, per AS, the adjacency slot of the neighbor its best
+  // route came from — 4 bytes per AS.
   static constexpr std::uint32_t kNoParent = 0xFFFFFFFF;
-  struct Checkpoint {
-    int rounds = 0;
-    // parent_slots[as]: position of the best route's neighbor in the AS's
-    // own adjacency row; kNoParent for no route (and always for the origin).
-    std::vector<std::uint32_t> parent_slots;
-    std::vector<int> first_change_rounds;
-
-    // Dense AS ids, each after the AS its best route came from: the order
-    // FromCheckpoint derives routes in and bgp::TraversalIndex sums subtrees
-    // against. Every parent slot must lie within its AS's degree. Returns
-    // nullopt and sets `*cycle_at` to an AS on the cycle when the parent
-    // links form one.
-    std::optional<std::vector<topo::AsId>> ParentsFirst(
-        const topo::AsGraph& graph, topo::AsId* cycle_at) const;
-  };
-  // Only for an attack-free, filterless, converged state — what
+  // parent_slots[as]: position of the best route's neighbor in the AS's own
+  // adjacency row; kNoParent for no route (and always for the origin). Only
+  // for an attack-free, filterless, converged state — what
   // Run(announcement) and attack::BaselineCache produce. A state built from
-  // a checkpoint returns the parent slots it keeps; any other looks each
-  // best route's neighbor up in its AS's row, and aborts on a state that did
-  // not converge or whose best route names a non-neighbor.
-  Checkpoint ToCheckpoint() const;
-  // Builds the state a checkpoint describes: best routes parents-first, each
-  // the ExportTo delivery from its parent — the kernel Run() uses, so the
-  // routes are bit-identical to the converged original's. The state keeps
-  // the parent slots and stores no Adj-RIB-In (RibAt derives it). Both
-  // arrays must hold graph.NumAses() entries (aborts otherwise). Returns
-  // nullopt and sets `*error` when the origin is not in the graph, or
-  // ("AS<asn>: ...") a parent slot is outside its AS's degree, the origin
-  // has a parent, the parent links form a cycle, or a parent delivers its
-  // child no route. It does not prove the tree is the fixpoint.
-  static std::optional<PropagationResult> FromCheckpoint(
+  // parent slots returns the ones it keeps; any other looks each best
+  // route's neighbor up in its AS's row, and aborts on a state that did not
+  // converge or whose best route names a non-neighbor.
+  std::vector<std::uint32_t> ParentSlots() const;
+  // Builds the state `parent_slots` describe: best routes parents-first,
+  // each its parent's AttackFreeSlot — the kernel Run() uses, so the routes
+  // are bit-identical to the converged original's. The state is at rest
+  // (Rounds() 0, every change round -1), keeps the parent slots and stores
+  // no Adj-RIB-In (RibAt derives it). `parent_slots` must hold
+  // graph.NumAses() entries (aborts otherwise). Returns nullopt and sets
+  // `*error` when the origin is not in the graph, or ("AS<asn>: ...") a
+  // parent slot is outside its AS's degree, the origin has a parent, the
+  // parent links form a cycle, or a parent delivers its child no route. It
+  // does not prove the tree is the fixpoint.
+  static std::optional<PropagationResult> FromParentSlots(
       const topo::AsGraph& graph, Announcement announcement,
-      Checkpoint checkpoint, std::string* error);
+      std::vector<std::uint32_t> parent_slots, std::string* error);
 
   // ASes (other than `x` and the origin) whose best path traverses AS `x`.
   std::vector<Asn> AsesTraversing(Asn x) const;
@@ -231,8 +229,8 @@ class PropagationResult {
   friend class PropagationSimulator;
   friend class DeltaResult;  // Materialize() overlays its rows
 
-  // Stores every Adj-RIB-In slot a checkpoint-built state derives (RibAt)
-  // and drops the parent slots: the state is about to stop being a
+  // Stores every Adj-RIB-In slot a state built from parent slots derives
+  // (RibAt) and drops the parent slots: the state is about to stop being a
   // best-route tree (Resume, Materialize). A state that stores its slots
   // keeps them.
   void StoreRibSlots();
@@ -246,10 +244,19 @@ class PropagationResult {
   std::vector<int> first_change_round_;
   // Full Adj-RIB-In: rib_in_[as][slot] is the route last received from the
   // neighbor at `slot` of that AS's adjacency list. Empty in a state built
-  // from a checkpoint, which keeps its parent slots instead.
+  // from parent slots, which keeps them instead.
   std::vector<std::vector<std::optional<Route>>> rib_in_;
   std::vector<std::uint32_t> parent_slots_;
 };
+
+// Dense AS ids, each after the AS its best route came from: the order
+// FromParentSlots derives routes in and bgp::TraversalIndex sums subtrees
+// against. Every parent slot must lie within its AS's degree. Returns
+// nullopt and sets `*cycle_at` to an AS on the cycle when the parent links
+// form one.
+std::optional<std::vector<topo::AsId>> ParentsFirst(
+    const topo::AsGraph& graph, std::span<const std::uint32_t> parent_slots,
+    topo::AsId* cycle_at);
 
 // The first difference between two states over graphs with the same dense
 // order, as one line naming it ("AS7 best route: snapshot [..] from AS3,
@@ -260,10 +267,11 @@ std::string FirstDifference(const PropagationResult& got,
                             const PropagationResult& want,
                             const char* got_name, const char* want_name);
 
-// The gate a baseline built from a bgp::RoutingTree checkpoint is held to
-// against `run`, the converged Run(announcement) it stands for: the first
-// difference as FirstDifference names it, except that `built`'s round count
-// may be below run's on a graph with sibling links (DESIGN.md §4b), or "".
+// The gate a baseline built from parent slots (a bgp::RoutingTree's, or a
+// snapshot's) is held to against `run`, the converged Run(announcement) it
+// stands for: the first difference in convergence, best routes or
+// Adj-RIB-In slots as FirstDifference names it, or "". The baseline is at
+// rest, so its round count and change rounds are not compared.
 std::string FirstBaselineDifference(const PropagationResult& built,
                                     const PropagationResult& run,
                                     const char* built_name);

@@ -1,6 +1,5 @@
 #include "bgp/routing_tree.h"
 
-#include <algorithm>
 #include <initializer_list>
 #include <limits>
 #include <queue>
@@ -139,83 +138,6 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
       settle(kProviderPhase, {Relation::kCustomer, Relation::kSibling}));
 }
 
-PropagationResult::Checkpoint RoutingTree::Checkpoint() const {
-  const std::size_t n = graph_.NumAses();
-  const AsId origin = graph_.IndexOf(announcement_.origin);
-  constexpr int kNever = std::numeric_limits<int>::max();
-  PropagationResult::Checkpoint checkpoint;
-  checkpoint.parent_slots = parent_slots_;
-
-  // c(v): BFS up customer→provider and across sibling edges.
-  std::vector<int> uphill(n, kNever);
-  std::vector<AsId> queue;
-  queue.reserve(n);
-  uphill[origin] = 0;
-  queue.push_back(origin);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const AsId u = queue[head];
-    for (const Relation rel : {Relation::kProvider, Relation::kSibling}) {
-      for (const Edge& edge : graph_.EdgeSegmentAt(u, rel)) {
-        if (uphill[edge.id] != kNever) continue;
-        uphill[edge.id] = uphill[u] + 1;
-        queue.push_back(edge.id);
-      }
-    }
-  }
-
-  // t(v), seeded with min(c(v), c(u)+1 over peers u), then relaxed down
-  // provider→customer and across sibling edges in increasing round order.
-  std::vector<int>& first = checkpoint.first_change_rounds;
-  first.assign(n, kNever);
-  std::vector<std::vector<AsId>> buckets;
-  for (AsId v = 0; v < n; ++v) {
-    int t = uphill[v];
-    for (const Edge& edge : graph_.EdgeSegmentAt(v, Relation::kPeer)) {
-      if (uphill[edge.id] != kNever) t = std::min(t, uphill[edge.id] + 1);
-    }
-    if (t == kNever) continue;
-    first[v] = t;
-    if (buckets.size() <= static_cast<std::size_t>(t)) buckets.resize(t + 1);
-    buckets[t].push_back(v);
-  }
-  for (std::size_t t = 0; t < buckets.size(); ++t) {
-    for (std::size_t k = 0; k < buckets[t].size(); ++k) {
-      const AsId u = buckets[t][k];
-      if (first[u] != static_cast<int>(t)) continue;  // lowered since queued
-      for (const Relation rel : {Relation::kCustomer, Relation::kSibling}) {
-        for (const Edge& edge : graph_.EdgeSegmentAt(u, rel)) {
-          if (first[edge.id] <= first[u] + 1) continue;
-          first[edge.id] = first[u] + 1;
-          if (buckets.size() <= t + 1) buckets.resize(t + 2);
-          buckets[t + 1].push_back(edge.id);
-        }
-      }
-    }
-  }
-
-  // Rounds from the tree depths, parents first.
-  AsId cycle_at = 0;
-  const std::optional<std::vector<AsId>> order =
-      checkpoint.ParentsFirst(graph_, &cycle_at);
-  ASPPI_CHECK(order.has_value())
-      << "routing tree parents form a cycle at AS" << graph_.AsnAt(cycle_at);
-  std::vector<int> depth(n, 0);
-  int deepest = 0;
-  for (const AsId v : *order) {
-    if (parent_slots_[v] == kNoParent) {
-      if (v != origin) first[v] = -1;
-      continue;
-    }
-    ASPPI_CHECK(first[v] != kNever)
-        << "AS" << graph_.AsnAt(v) << " holds a route it never heard";
-    depth[v] = depth[graph_.NeighborsAt(v)[parent_slots_[v]].id] + 1;
-    deepest = std::max(deepest, depth[v]);
-  }
-  first[origin] = -1;
-  checkpoint.rounds = deepest + 1;
-  return checkpoint;
-}
-
 std::optional<Route> RoutingTree::BestAt(Asn asn) const {
   // The parent chain from `asn` up to its root, the origin (or `asn` itself
   // when it has no route).
@@ -229,14 +151,10 @@ std::optional<Route> RoutingTree::BestAt(Asn asn) const {
   std::optional<Route> best;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     const Edge& up = graph_.NeighborsAt(*it)[parent_slots_[*it]];
-    best = engine_detail::ExportTo(announcement_, up.asn, it == chain.rbegin(),
-                                   best, graph_.NeighborsAt(at)[up.back_slot],
-                                   nullptr, nullptr)
-               .route;
+    best = engine_detail::AttackFreeSlot(graph_, announcement_, up, best);
     ASPPI_CHECK(best.has_value())
         << "AS" << up.asn << " exports no route to its tree child AS"
         << graph_.AsnAt(*it);
-    at = *it;
   }
   return best;
 }

@@ -33,33 +33,21 @@ class RoutingTree {
 
   // Best route of `asn`, equal to what Run(announcement).BestAt(asn) holds:
   // nullopt for the origin and for ASes with no route. Derived by applying
-  // engine_detail::ExportTo down the parent chain from the origin, the
-  // kernel every engine shares.
+  // engine_detail::AttackFreeSlot down the parent chain from the origin.
   std::optional<Route> BestAt(Asn asn) const;
 
-  // The whole tree as a checkpoint, which PropagationResult::FromCheckpoint
-  // turns into the attack-free baseline:
-  //   * the parent slots;
-  //   * change rounds in closed form. Let c(v) be v's hop distance from the
-  //     origin over customer→provider and sibling edges (c(origin) = 0), the
-  //     round in which v first holds a customer-class route. Then v first
-  //     changes at t(v) = min(c(v), c(u)+1 over v's peers u, t(u)+1 over v's
-  //     providers and siblings u) — one BFS and one bucket pass. The origin
-  //     and ASes with no route keep -1;
-  //   * rounds: the deepest best path's hop count (distinct ASes) plus 1.
-  //     Never above Run's count, and equal to it on a graph without sibling
-  //     links; with them, class transport across a sibling link can let an AS
-  //     hold a route that is withdrawn a round later, which only a
-  //     round-based run counts (DESIGN.md §4b).
-  // Best routes and change rounds are Run(announcement)'s, AS for AS.
-  PropagationResult::Checkpoint Checkpoint() const;
+  // Per AS, the position of its best route's neighbor in its own adjacency
+  // row; PropagationResult::kNoParent for no route (and always for the
+  // origin). PropagationResult::FromParentSlots turns them into the
+  // attack-free baseline, whose best routes are Run(announcement)'s, AS for
+  // AS.
+  const std::vector<std::uint32_t>& ParentSlots() const {
+    return parent_slots_;
+  }
 
  private:
   const topo::AsGraph& graph_;
   Announcement announcement_;
-  // Per AS, the position of its best route's neighbor in its own adjacency
-  // row; PropagationResult::kNoParent for no route (and always for the
-  // origin) — a PropagationResult::Checkpoint's encoding.
   std::vector<std::uint32_t> parent_slots_;
 };
 

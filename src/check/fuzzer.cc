@@ -197,9 +197,9 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     }
   }
   // Leg 3a — the baseline the attack started from, leg 3's BaselineCache
-  // entry (built from the RoutingTree checkpoint), against leg 1's Run:
-  // every best route, change round and Adj-RIB-In slot, and a round count
-  // never above Run's (equal without sibling links).
+  // entry (built from the RoutingTree's parent slots), against leg 1's Run:
+  // convergence, every best route and every Adj-RIB-In slot. The entry is at
+  // rest, so it holds no round count or change rounds to compare.
   if (std::string diff =
           bgp::FirstBaselineDifference(*outcome.before, baseline, "cache");
       !diff.empty()) {

@@ -62,8 +62,9 @@ class Fuzzer {
   // Runs one scenario through every differential + invariant check:
   //   * PropagationSimulator vs ReferenceEngine (attack-free fixpoint),
   //   * RoutingTree vs the same oracle fixpoint, route for route,
-  //   * the BaselineCache entry the attack starts from vs Run's baseline
-  //     (bgp::FirstBaselineDifference),
+  //   * the BaselineCache entry the attack starts from vs Run's baseline:
+  //     convergence, best routes and Adj-RIB-In slots
+  //     (bgp::FirstBaselineDifference; the entry is at rest, so no timing),
   //   * AttackSimulator vs ReferenceEngine::RunInterception (paths,
   //     fractions, pollution sets),
   //   * Invariants over the converged states and the attack outcome,

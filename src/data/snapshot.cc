@@ -304,18 +304,14 @@ std::string ParseCsrSection(const unsigned char* base, std::size_t size,
   return "";
 }
 
-// One checkpointed baseline (bgp::PropagationResult::Checkpoint): the
-// announcement, the round count, then per AS in dense order its parent slot
-// (u32) and its first change round (i32). The graph it derives over is the
-// same file's kCsrGraph section, slot order intact.
+// One baseline: the announcement, then per AS in dense order its parent slot
+// (u32, bgp::PropagationResult::ParentSlots). The graph it derives over is
+// the same file's kCsrGraph section, slot order intact.
 std::string WriteBaseline(ByteWriter& w, const bgp::PropagationResult& state) {
   if (!state.Converged()) return "not a converged state";
-  const bgp::PropagationResult::Checkpoint checkpoint = state.ToCheckpoint();
   w.U32(state.GetAnnouncement().origin);
   WritePolicy(w, state.GetAnnouncement().prepends);
-  w.I32(checkpoint.rounds);
-  for (std::uint32_t slot : checkpoint.parent_slots) w.U32(slot);
-  for (int round : checkpoint.first_change_rounds) w.I32(round);
+  for (std::uint32_t slot : state.ParentSlots()) w.U32(slot);
   return "";
 }
 
@@ -327,23 +323,19 @@ std::string ReadBaseline(
   if (std::string err = ReadPolicy(r, &announcement.prepends); !err.empty()) {
     return "policy: " + err;
   }
-  bgp::PropagationResult::Checkpoint checkpoint;
-  if (!r.I32(&checkpoint.rounds)) return "truncated round count";
-  // Both arrays are checked against the section before either is sized.
+  // The record is checked against the section before the slots are sized.
   const std::size_t n = graph.NumAses();
-  if (r.Remaining() / 8 < n) {
+  if (r.Remaining() / 4 < n) {
     return "truncated: " + std::to_string(n) + " ASes need " +
-           std::to_string(8 * n) + " bytes, the section has " +
+           std::to_string(4 * n) + " bytes, the section has " +
            std::to_string(r.Remaining()) + " left";
   }
-  checkpoint.parent_slots.resize(n);
-  checkpoint.first_change_rounds.resize(n);
-  for (std::uint32_t& slot : checkpoint.parent_slots) r.U32(&slot);
-  for (int& round : checkpoint.first_change_rounds) r.I32(&round);
+  std::vector<std::uint32_t> parent_slots(n);
+  for (std::uint32_t& slot : parent_slots) r.U32(&slot);
   std::string err;
   std::optional<bgp::PropagationResult> state =
-      bgp::PropagationResult::FromCheckpoint(graph, std::move(announcement),
-                                             std::move(checkpoint), &err);
+      bgp::PropagationResult::FromParentSlots(graph, std::move(announcement),
+                                              std::move(parent_slots), &err);
   if (!state.has_value()) return err;
   *out = std::make_shared<const bgp::PropagationResult>(std::move(*state));
   return "";

@@ -7,8 +7,8 @@
 // whose --topo names a snapshot) loads this format instead — fixed
 // width binary records read straight out of an mmap'ed region, no line
 // splitting, no strtol, and optionally no convergence at all when the
-// snapshot carries checkpointed baselines (rebuilt by
-// bgp::PropagationResult::FromCheckpoint and pre-seeded into
+// snapshot carries baselines (rebuilt from their parent slots by
+// bgp::PropagationResult::FromParentSlots and pre-seeded into
 // attack::BaselineCache).
 //
 // Layout (all integers little-endian, byte-packed):
@@ -21,14 +21,15 @@
 //   kInfo     (1): creator string + entity counts (printed by --info)
 //   kPolicy   (3): PrependPolicy defaults + per-neighbor overrides
 //   kBaselines(4): u64 count, then per baseline: u32 origin | its
-//                  PrependPolicy (kPolicy's encoding) | i32 rounds |
-//                  n × u32 parent slots | n × i32 first change rounds, in
-//                  dense AS order. A parent slot is the position, in the AS's
-//                  own adjacency row, of the neighbor its best route came
-//                  from (0xFFFFFFFF: no route, and always for the origin) —
-//                  a converged baseline is a best-route tree, so every best
-//                  route is derived from it at load and every Adj-RIB-In
-//                  slot on demand (PropagationResult::RibAt).
+//                  PrependPolicy (kPolicy's encoding) | n × u32 parent
+//                  slots, in dense AS order. A parent slot is the position,
+//                  in the AS's own adjacency row, of the neighbor its best
+//                  route came from (0xFFFFFFFF: no route, and always for the
+//                  origin) — a converged baseline is a best-route tree, so
+//                  every best route is derived from it at load and every
+//                  Adj-RIB-In slot on demand (PropagationResult::RibAt). A
+//                  loaded baseline is at rest: Rounds() 0, every change
+//                  round -1.
 //   kCsrGraph (5): the frozen AsGraph's CSR arrays verbatim, every array
 //                  8-byte aligned relative to the file start. Loading is
 //                  zero-copy: the graph's spans alias the mmap'ed region
@@ -44,16 +45,16 @@
 //                  keeping undefended snapshots byte-identical to pre-kDefense
 //                  writers. Loaders that predate the section ignore it.
 //
-// Loading validates the magic, version (only kSnapshotVersion loads; v1 and
-// v2 files are version skew), declared file size, section bounds, that no
+// Loading validates the magic, version (only kSnapshotVersion loads; v1, v2
+// and v3 files are version skew), declared file size, section bounds, that no
 // section type repeats, and each section's CRC32 before touching its
 // payload; a truncated file, flipped bit, or version skew yields a clean
 // error string, never UB. Payloads are then held to what the writer emits
 // even behind a valid CRC: the CSR section passes AsGraph::FromCsr's
 // structural validation (extents, id ranges, back slots, grouping,
 // interning table, ranks), every pad count lies in 1..bgp::kMaxPads, a
-// baseline record's 8n bytes are present before its arrays are sized, and
-// PropagationResult::FromCheckpoint rejects a parent slot outside its AS's
+// baseline record's 4n bytes are present before its slots are sized, and
+// PropagationResult::FromParentSlots rejects a parent slot outside its AS's
 // degree, an origin with a parent, a parent cycle, and a parent that
 // delivers its child no route — so a crafted file cannot smuggle an
 // out-of-bounds index, an aborting pad count or an oversized allocation
@@ -73,7 +74,7 @@ namespace asppi::data {
 
 inline constexpr char kSnapshotMagic[8] = {'A', 'S', 'P', 'P',
                                            'I', 'S', 'N', 'P'};
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 struct SnapshotInfo {
   std::uint32_t version = kSnapshotVersion;
@@ -86,10 +87,10 @@ struct SnapshotInfo {
   std::uint64_t num_defense_tagged = 0;
 };
 
-// Compiles `graph` + `policy` (+ optional checkpointed `baselines`) into
-// `path`. Each baseline must be an attack-free, filterless, converged state
-// over `graph` — what PropagationSimulator::Run(announcement) and
-// attack::BaselineCache produce — since only its best-route tree is stored.
+// Compiles `graph` + `policy` (+ optional `baselines`) into `path`. Each
+// baseline must be an attack-free, filterless, converged state over `graph`
+// — what PropagationSimulator::Run(announcement) and attack::BaselineCache
+// produce — since only its best-route tree is stored.
 // `creator` identifies the producing tool in the info section.
 // `defense_tags`, when non-empty, must hold exactly graph.NumAses() per-AsId
 // policy-tag bytes (defense::PolicySet::RawTags) and becomes the kDefense

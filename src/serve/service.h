@@ -3,7 +3,7 @@
 // propagation/attack/detection engines, and two caches:
 //
 //   * attack::BaselineCache — converged attack-free states, keyed by
-//     announcement; pre-seeded from a snapshot's checkpointed baselines via
+//     announcement; pre-seeded from a snapshot's stored baselines via
 //     WarmBaselines so the first query against a warmed victim skips
 //     propagation entirely.
 //   * util::ShardedLruCache — serialized response lines keyed by the
@@ -90,8 +90,8 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Pre-seeds the baseline cache with checkpointed converged states (each
-  // must have been produced over `graph`). Returns how many were accepted.
+  // Pre-seeds the baseline cache with converged states (each must have been
+  // produced over `graph`). Returns how many were accepted.
   std::size_t WarmBaselines(
       const std::vector<std::shared_ptr<const bgp::PropagationResult>>&
           baselines);

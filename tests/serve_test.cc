@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "attack/impact.h"
@@ -17,6 +20,7 @@
 #include "serve/service.h"
 #include "topology/generator.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace asppi::serve {
 namespace {
@@ -634,6 +638,176 @@ TEST_F(ServiceTest, ConcurrentMixedHandleIsRaceFree) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
+}
+
+// --- request-line mutation harness ------------------------------------------
+
+// A request as ordered (key, raw JSON value) pairs, so a mutation can rename,
+// repeat, drop or retype one field before the line is rendered.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+std::string Render(const Fields& fields) {
+  std::string line = "{";
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) line += ',';
+    line += '"' + fields[i].first + "\":" + fields[i].second;
+  }
+  return line + "}";
+}
+
+// Values outside most fields' bounds in protocol.h, non-finite (JSON has no
+// literal for NaN or infinity, and 1e999 overflows a double), fractional, or
+// of the wrong type. None is a valid beam or rounds count, so a strategy
+// search widens past the valid line's beam 1, one round only where a key is
+// dropped, renamed or flipped, and the result cache computes each such
+// request once.
+constexpr const char* kHostileValues[] = {
+    "-1",     "0",          "17",
+    "65",     "4294967296", "18446744073709551616",
+    "1e308",  "1e999",      "-1e999",
+    "NaN",    "Infinity",   "-0",
+    "0.5",    "2.000001",   "\"12\"",
+    "true",   "null",       "[]",
+    "{}",     "[1,2]",      "\"\"",
+    "\"impact\"", "99999999999999999999999"};
+
+// A valid request line of one of the ops over the fixture, among a few
+// (victim, attacker) pairs so the result cache bounds the engine work.
+Fields ValidRequest(const topo::GeneratedTopology& gen, util::Rng& rng) {
+  const std::size_t pair = rng.Below(3);
+  const std::string victim = std::to_string(gen.stubs[pair]);
+  const std::string attacker = std::to_string(gen.tier2[pair]);
+  switch (rng.Below(8)) {
+    case 0:
+      return {{"op", "\"impact\""}, {"victim", victim}, {"attacker", attacker},
+              {"lambda", "3"},      {"violate", "false"}};
+    case 1:
+      return {{"op", "\"detect\""}, {"victim", victim}, {"attacker", attacker},
+              {"monitors", "8"}};
+    case 2:
+      return {{"op", "\"route\""}, {"origin", victim}, {"observer", attacker},
+              {"lambda", "2"}};
+    case 3:
+      return {{"op", "\"defense\""},     {"victim", victim},
+              {"attacker", attacker},    {"strategy", "\"random\""},
+              {"frac", "0.5"},           {"policies", "\"rov+pathval\""},
+              {"seed", "3"}};
+    case 4:
+      return {{"op", "\"strategy\""}, {"victim", victim},
+              {"attacker", attacker}, {"beam", "1"}, {"rounds", "1"}};
+    case 5:
+      return {{"op", "\"stats\""}};
+    case 6:
+      return {{"op", "\"health\""}};
+    default:
+      return {{"op", "\"reload\""}};
+  }
+}
+
+// `inner` inside `depth` array levels.
+std::string Nested(std::size_t depth, const std::string& inner) {
+  return std::string(depth, '[') + inner + std::string(depth, ']');
+}
+
+// One to three mutations of a valid request: renamed, repeated or dropped
+// keys and hostile or deeply nested values on the fields, then byte flips,
+// truncation or nesting of the whole line past Json::kMaxDepth.
+std::string MutatedLine(Fields fields, util::Rng& rng) {
+  const std::size_t past_cap = util::Json::kMaxDepth + 1 + rng.Below(200);
+  const std::size_t edits = 1 + rng.Below(3);
+  std::vector<std::size_t> byte_edits;
+  for (std::size_t e = 0; e < edits; ++e) {
+    const std::size_t at = rng.Below(fields.size());
+    switch (rng.Below(9)) {
+      case 0: {  // a renamed key: another field's name, or a near miss
+        static const char* const kKeys[] = {
+            "op",   "victim", "attacker", "origin", "observer", "lambda",
+            "beam", "rounds", "monitors", "frac",   "violate",  ""};
+        fields[at].first = rng.Chance(0.5)
+                               ? std::string(kKeys[rng.Below(std::size(kKeys))])
+                               : fields[at].first + "_";
+        break;
+      }
+      case 1: {  // a repeated key, with its own or a hostile value
+        std::pair<std::string, std::string> copy = fields[at];
+        if (rng.Chance(0.5)) {
+          copy.second = kHostileValues[rng.Below(std::size(kHostileValues))];
+        }
+        fields.insert(fields.begin() + static_cast<std::ptrdiff_t>(
+                                           rng.Below(fields.size() + 1)),
+                      std::move(copy));
+        break;
+      }
+      case 2:  // a dropped key
+        fields.erase(fields.begin() + static_cast<std::ptrdiff_t>(at));
+        if (fields.empty()) fields.push_back({"op", "\"health\""});
+        break;
+      case 3:
+      case 4:  // a hostile value
+        fields[at].second =
+            kHostileValues[rng.Below(std::size(kHostileValues))];
+        break;
+      case 5:  // a value nested past the cap, or just inside it
+        fields[at].second = Nested(
+            rng.Chance(0.8) ? past_cap : util::Json::kMaxDepth - 1, "1");
+        break;
+      default:  // byte flips, truncation and whole-line nesting
+        byte_edits.push_back(rng.Below(3));
+        break;
+    }
+  }
+  std::string line = Render(fields);
+  for (const std::size_t kind : byte_edits) {
+    if (line.empty()) break;
+    if (kind == 0) {
+      line[rng.Below(line.size())] ^= static_cast<char>(1u << rng.Below(8));
+    } else if (kind == 1) {
+      line.resize(rng.Below(line.size()));
+    } else {
+      line = Nested(past_cap, line);
+    }
+  }
+  return line;
+}
+
+TEST_F(ServiceTest, MutatedRequestLinesAlwaysGetOneWellFormedAnswer) {
+  // 2,000 request lines, each a valid request of one of the ops mutated from
+  // DeriveSeed(kSeed, i). Every answer is one JSON object with a boolean
+  // "ok", and an "error" string when it is false; no line may abort.
+  constexpr std::uint64_t kSeed = 24;
+  constexpr std::size_t kLines = 2000;
+  QueryService service(gen_.graph, {});
+  std::size_t ok = 0;
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    util::Rng rng(util::DeriveSeed(kSeed, i));
+    const std::string line = MutatedLine(ValidRequest(gen_, rng), rng);
+    const std::string response = service.Handle(line);
+    std::string parse_error;
+    const std::optional<util::Json> answer =
+        util::Json::Parse(response, &parse_error);
+    ASSERT_TRUE(answer.has_value() && answer->IsObject() &&
+                response.find('\n') == std::string::npos)
+        << "line " << i << ": " << line << "\nanswer: " << response << " ("
+        << parse_error << ")";
+    const util::Json* ok_field = answer->Find("ok");
+    ASSERT_TRUE(ok_field != nullptr &&
+                ok_field->GetType() == util::Json::Type::kBool)
+        << "line " << i << ": " << line << "\nanswer: " << response;
+    if (ok_field->AsBool()) {
+      ++ok;
+      continue;
+    }
+    ++errors;
+    const util::Json* error = answer->Find("error");
+    ASSERT_TRUE(error != nullptr &&
+                error->GetType() == util::Json::Type::kString)
+        << "line " << i << ": " << line << "\nanswer: " << response;
+  }
+  // Mutated lines take both paths: answers (engine ops among them) and
+  // errors.
+  EXPECT_GT(ok, kLines / 20);
+  EXPECT_GT(errors, kLines / 2);
 }
 
 }  // namespace

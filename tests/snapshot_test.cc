@@ -102,21 +102,22 @@ TEST(Snapshot, SniffFileRoutesFormats) {
 }
 
 // The state a snapshot derived for a baseline equals the converged one bit
-// for bit: announcement, round count, every best route (learned_from
-// included), change round and Adj-RIB-In slot.
+// for bit: announcement, every best route (learned_from included) and
+// Adj-RIB-In slot. It is at rest: round count 0, every change round -1.
 void ExpectSameState(const bgp::PropagationResult& converged,
                      const bgp::PropagationResult& loaded) {
   const std::string diff =
-      bgp::FirstDifference(loaded, converged, "snapshot", "converged");
+      bgp::FirstBaselineDifference(loaded, converged, "snapshot");
   EXPECT_EQ(diff, "");
   EXPECT_EQ(converged.GetAnnouncement().origin,
             loaded.GetAnnouncement().origin);
   EXPECT_EQ(converged.GetAnnouncement().prepends.KeyString(),
             loaded.GetAnnouncement().prepends.KeyString());
-  EXPECT_EQ(converged.Rounds(), loaded.Rounds());
   EXPECT_TRUE(converged.BestRoutes() == loaded.BestRoutes()) << diff;
-  EXPECT_TRUE(converged.FirstChangeRounds() == loaded.FirstChangeRounds())
-      << diff;
+  EXPECT_EQ(loaded.Rounds(), 0);
+  EXPECT_TRUE(std::all_of(loaded.FirstChangeRounds().begin(),
+                          loaded.FirstChangeRounds().end(),
+                          [](int round) { return round == -1; }));
 }
 
 // Each origin's attack-free baseline, announced with λ=4.
@@ -373,13 +374,13 @@ TEST(Snapshot, LoadRejectsBadMagic) {
 }
 
 TEST(Snapshot, LoadRejectsVersionSkew) {
-  // Newer files and the retired v1 and v2 formats alike: only
+  // Newer files and the retired v1, v2 and v3 formats alike: only
   // kSnapshotVersion loads.
   const auto gen = SmallTopology();
   const std::string path = TempPath("version.snap");
   ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {}, "t"), "");
   const std::string bytes = ReadFile(path);
-  for (const std::uint32_t version : {kSnapshotVersion + 1, 2u, 1u}) {
+  for (const std::uint32_t version : {kSnapshotVersion + 1, 3u, 2u, 1u}) {
     std::string skewed = bytes;
     StoreLe(skewed, 8, 4, version);
     WriteFile(path, skewed);
@@ -515,9 +516,9 @@ TEST(Snapshot, LoadRejectsParentSlotsThatAreNotABestRouteTree) {
   const auto entry = FindSection(bytes, kBaselinesSectionType);
   ASSERT_TRUE(entry.has_value());
 
-  // u64 count | u32 origin | policy (u64 1 | u32 asn | i32 pads | u64 0) |
-  // i32 rounds, then one u32 parent slot per AS in dense order.
-  const std::size_t slots = entry->offset + 8 + 4 + 24 + 4;
+  // u64 count | u32 origin | policy (u64 1 | u32 asn | i32 pads | u64 0),
+  // then one u32 parent slot per AS in dense order.
+  const std::size_t slots = entry->offset + 8 + 4 + 24;
   const auto slot_toward = [&graph](topo::AsId from, topo::AsId to) {
     const auto row = graph.NeighborsAt(from);
     return static_cast<std::uint32_t>(
@@ -599,7 +600,7 @@ TEST(Snapshot, LoadRejectsParentSlotsThatAreNotABestRouteTree) {
   }
 
   // A record cut short: kBaselines is the file's last section, so dropping
-  // its last change round only needs the table, the header and the CRC to
+  // its last parent slot only needs the table, the header and the CRC to
   // agree with the shorter file.
   ASSERT_EQ(entry->offset + entry->size, bytes.size());
   std::string cut = bytes.substr(0, bytes.size() - 4);
@@ -621,9 +622,9 @@ TEST(Snapshot, LoadRejectsParentSlotsThatAreNotABestRouteTree) {
 TEST(Snapshot, SeededMutationsOfPolicyAndBaselinesLoadOrFailCleanly) {
   // 2,000 seeded mutations of a small snapshot's kPolicy and kBaselines
   // payloads, each behind a repaired CRC so it reaches the section parsers:
-  // parent slots, change rounds, the round count, pad counts and the
-  // length fields. Every mutated file must load (and its baselines index
-  // like a served snapshot's) or return an error; none may abort.
+  // parent slots, pad counts, the origin and the length fields. Every
+  // mutated file must load (and its baselines index like a served
+  // snapshot's) or return an error; none may abort.
   constexpr std::uint64_t kSeed = 23;
   constexpr std::size_t kMutations = 2000;
   const auto gen = SmallTopology();
@@ -650,8 +651,8 @@ TEST(Snapshot, SeededMutationsOfPolicyAndBaselinesLoadOrFailCleanly) {
 
   // Field offsets within each section. A policy is u64 defaults | defaults ×
   // {u32 asn | i32 pads} | u64 overrides | overrides × {u32 | u32 | i32}; a
-  // baseline record is u32 origin | its policy | i32 rounds | n × u32 parent
-  // slots | n × i32 change rounds, after kBaselines' u64 count.
+  // baseline record is u32 origin | its policy | n × u32 parent slots, after
+  // kBaselines' u64 count.
   struct Field {
     const TableEntry* section;
     std::size_t at;
@@ -670,11 +671,8 @@ TEST(Snapshot, SeededMutationsOfPolicyAndBaselinesLoadOrFailCleanly) {
   fields.insert(fields.end(), baseline_policy.begin(), baseline_policy.end());
   fields.push_back({&*baselines_entry, 0, 8});  // baseline count
   fields.push_back({&*baselines_entry, 8, 4});  // origin
-  const std::size_t rounds_at = 12 + 36;
-  ASSERT_EQ(rounds_at + 4 + 8 * n, baselines_entry->size);
-  fields.push_back({&*baselines_entry, rounds_at, 4});
-  const std::size_t slots_at = rounds_at + 4;
-  const std::size_t changes_at = slots_at + 4 * n;
+  const std::size_t slots_at = 12 + 36;
+  ASSERT_EQ(slots_at + 4 * n, baselines_entry->size);
 
   std::size_t loaded = 0;
   std::size_t rejected = 0;
@@ -692,26 +690,17 @@ TEST(Snapshot, SeededMutationsOfPolicyAndBaselinesLoadOrFailCleanly) {
     const std::size_t edits = 1 + rng.Below(3);
     for (std::size_t e = 0; e < edits; ++e) {
       Field field;
-      switch (rng.Below(4)) {
-        case 0: {  // a parent slot
-          const topo::AsId as = static_cast<topo::AsId>(rng.Below(n));
-          field = {&*baselines_entry, slots_at + 4 * as, 4};
-          if (rng.Chance(0.5)) {
-            StoreLe(crafted, field.section->offset + field.at, 4,
-                    rng.Chance(0.2) ? bgp::PropagationResult::kNoParent
-                                    : rng.Below(graph.DegreeAt(as) + 1));
-            continue;
-          }
-          break;
+      if (rng.Chance(0.5)) {  // a parent slot
+        const topo::AsId as = static_cast<topo::AsId>(rng.Below(n));
+        field = {&*baselines_entry, slots_at + 4 * as, 4};
+        if (rng.Chance(0.5)) {
+          StoreLe(crafted, field.section->offset + field.at, 4,
+                  rng.Chance(0.2) ? bgp::PropagationResult::kNoParent
+                                  : rng.Below(graph.DegreeAt(as) + 1));
+          continue;
         }
-        case 1: {  // a change round
-          const topo::AsId as = static_cast<topo::AsId>(rng.Below(n));
-          field = {&*baselines_entry, changes_at + 4 * as, 4};
-          break;
-        }
-        default:  // rounds, a pad count, a length, the origin
-          field = fields[rng.Below(fields.size())];
-          break;
+      } else {  // a pad count, a length, the origin
+        field = fields[rng.Below(fields.size())];
       }
       const std::size_t at = field.section->offset + field.at;
       StoreLe(crafted, at, field.width,
@@ -781,13 +770,13 @@ TEST(Snapshot, LoadRejectsFlippedPayloadBits) {
 
 // --- zero-copy CSR section (since format v2) ---------------------------------
 
-TEST(Snapshot, LoadReportsVersion3) {
+TEST(Snapshot, LoadReportsVersion4) {
   const auto gen = SmallTopology();
-  const std::string path = TempPath("v3.snap");
+  const std::string path = TempPath("v4.snap");
   ASSERT_EQ(WriteSnapshotFile(path, gen.graph, {}, {}, "t"), "");
   Snapshot snapshot;
   ASSERT_EQ(Snapshot::Load(path, snapshot), "");
-  EXPECT_EQ(snapshot.Info().version, 3u);
+  EXPECT_EQ(snapshot.Info().version, 4u);
   std::remove(path.c_str());
 }
 

@@ -15,11 +15,11 @@
 //
 // --baselines precomputes the attack-free converged state for each listed
 // origin (announced with the snapshot policy overlaid by a uniform --lambda
-// default) and embeds the checkpoints, so a server warm-starts without
-// running propagation. --verify reloads the written file and cross-checks
-// the graph and policy against the text-loaded corpus, and every derived
-// baseline state against PropagationSimulator::Run, before reporting
-// success.
+// default) and embeds each as one parent slot per AS (format v4, 4 bytes per
+// AS), so a server warm-starts without running propagation. --verify reloads
+// the written file and cross-checks the graph and policy against the
+// text-loaded corpus, and every derived baseline state against
+// PropagationSimulator::Run, before reporting success.
 #include <cstdio>
 #include <set>
 
@@ -161,7 +161,8 @@ int main(int argc, char** argv) {
   e.Flags().DefineString("out", "topology.snap", "output snapshot path");
   e.Flags().DefineString("baselines", "",
                          "comma-separated origin ASNs whose attack-free "
-                         "baselines are precomputed and embedded");
+                         "baselines are precomputed and embedded, each as "
+                         "one parent slot per AS (format v4)");
   e.Flags().DefineInt("lambda", 4,
                       "default prepend count for embedded baselines (1..64)");
   e.Flags().DefineString("policy", "",
@@ -172,12 +173,13 @@ int main(int argc, char** argv) {
                          "STRATEGY:FRAC[:KINDS] (top-degree|random)");
   e.Flags().DefineUint("seed", 1, "shuffle seed for --defense=random:...");
   e.Flags().DefineBool("info", false,
-                       "print the info section of --topo (a snapshot) "
-                       "and exit");
+                       "print the info section of --topo (a snapshot; "
+                       "only format v4 loads) and exit");
   e.Flags().DefineBool("verify", false,
                        "reload the written snapshot and cross-check it "
-                       "against the text-loaded corpus, and each baseline "
-                       "against a fresh propagation run");
+                       "against the text-loaded corpus, and each baseline's "
+                       "best routes and Adj-RIB-In against a fresh "
+                       "propagation run");
   int lambda = 0;
   if (!e.ParseFlags(argc, argv) || !e.LambdaFlag(&lambda)) return 1;
 
@@ -226,7 +228,7 @@ int main(int argc, char** argv) {
 
   // Converge each requested origin's attack-free baseline, announced as
   // serve::AnnouncementFor derives it per request, so the embedded
-  // checkpoints are warm cache entries, not near misses.
+  // baselines are warm cache entries, not near misses.
   std::vector<std::shared_ptr<const bgp::PropagationResult>> baselines(
       origins.size());
   if (!origins.empty()) {
@@ -278,9 +280,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     // Each baseline the loader derived from its parent slots must be what
-    // an independent engine converges to, PropagationSimulator::Run: every
-    // best route, change round and Adj-RIB-In slot, and a round count never
-    // above Run's (bgp::FirstBaselineDifference).
+    // an independent engine converges to, PropagationSimulator::Run:
+    // convergence, every best route and every Adj-RIB-In slot
+    // (bgp::FirstBaselineDifference). A loaded baseline is at rest, so it
+    // holds no round count or change rounds to compare.
     const bgp::PropagationSimulator engine(reloaded.Graph());
     for (std::size_t i = 0; i < baselines.size(); ++i) {
       const bgp::PropagationResult& loaded = *reloaded.Baselines()[i];
