@@ -235,10 +235,12 @@ bool Experiment::AsnFlag(const std::string& name, topo::Asn* out) const {
   return true;
 }
 
-bool Experiment::LambdaFlag(int* out) const {
+bool Experiment::LambdaFlag(int* out, bool zero_is_off) const {
   const std::int64_t lambda = flags_.GetInt("lambda");
-  if (lambda < 1 || lambda > bgp::kMaxPads) {
-    std::fprintf(stderr, "error: --lambda must be in 1..%d\n", bgp::kMaxPads);
+  if ((lambda < 1 && !(zero_is_off && lambda == 0)) ||
+      lambda > bgp::kMaxPads) {
+    std::fprintf(stderr, "error: --lambda must be in %s1..%d\n",
+                 zero_is_off ? "0 (off) or " : "", bgp::kMaxPads);
     return false;
   }
   *out = static_cast<int>(lambda);

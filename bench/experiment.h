@@ -115,9 +115,10 @@ class Experiment {
   bool AsnFlag(const std::string& name, topo::Asn* out) const;
 
   // Reads --lambda, the victim's prepend count, which every engine takes in
-  // 1..bgp::kMaxPads. Out of range, prints the shared error line and returns
-  // false; main() should return 1.
-  bool LambdaFlag(int* out) const;
+  // 1..bgp::kMaxPads; with `zero_is_off`, 0 (no prepend policy) is accepted
+  // too. Out of range, prints the shared error line and returns false;
+  // main() should return 1.
+  bool LambdaFlag(int* out, bool zero_is_off = false) const;
 
   // Thread pool sized by --threads (lazily built; requires a threads flag).
   // Outputs are bit-identical for any --threads value.

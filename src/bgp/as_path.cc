@@ -1,6 +1,8 @@
 #include "bgp/as_path.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <unordered_set>
 
 #include "util/check.h"
@@ -8,42 +10,95 @@
 
 namespace asppi::bgp {
 
+namespace {
+
+// A hop count as the 4-byte size field holds it.
+std::uint32_t HopCount(std::uint64_t n) {
+  ASPPI_CHECK_LE(n, std::numeric_limits<std::uint32_t>::max());
+  return static_cast<std::uint32_t>(n);
+}
+
+}  // namespace
+
+AsPath::AsPath(std::span<const Asn> hops) {
+  std::copy_n(hops.data(), hops.size(), Resize(HopCount(hops.size())));
+}
+
+AsPath& AsPath::operator=(const AsPath& other) {
+  if (this != &other) {
+    std::copy_n(other.Data(), other.size_, Resize(other.size_));
+  }
+  return *this;
+}
+
+Asn* AsPath::Resize(std::uint32_t n) {
+  if (n > capacity_) {
+    Release();
+    heap_ = new Asn[n];
+    capacity_ = n;
+  }
+  size_ = n;
+  return Data();
+}
+
 AsPath AsPath::Origin(Asn origin, int copies) {
   ASPPI_CHECK_GE(copies, 1);
   AsPath p;
-  p.hops_.assign(static_cast<std::size_t>(copies), origin);
+  std::fill_n(p.Resize(HopCount(static_cast<std::uint64_t>(copies))),
+              copies, origin);
+  return p;
+}
+
+AsPath AsPath::Prepended(Asn asn, int pads, const AsPath& tail) {
+  ASPPI_CHECK_GE(pads, 1);
+  AsPath p;
+  Asn* hops =
+      p.Resize(HopCount(static_cast<std::uint64_t>(pads) + tail.size_));
+  std::fill_n(hops, pads, asn);
+  std::copy_n(tail.Data(), tail.size_, hops + pads);
   return p;
 }
 
 void AsPath::Prepend(Asn asn, int times) {
   ASPPI_CHECK_GE(times, 1);
-  hops_.insert(hops_.begin(), static_cast<std::size_t>(times), asn);
+  const std::uint32_t n =
+      HopCount(static_cast<std::uint64_t>(times) + size_);
+  if (n <= capacity_) {
+    Asn* hops = Data();
+    std::memmove(hops + times, hops, size_ * sizeof(Asn));
+    std::fill_n(hops, times, asn);
+    size_ = n;
+  } else {
+    *this = Prepended(asn, times, *this);
+  }
 }
 
 std::size_t AsPath::UniqueCount() const {
-  std::unordered_set<Asn> distinct(hops_.begin(), hops_.end());
+  const std::span<const Asn> hops = Hops();
+  std::unordered_set<Asn> distinct(hops.begin(), hops.end());
   return distinct.size();
 }
 
 Asn AsPath::First() const {
-  ASPPI_CHECK(!hops_.empty());
-  return hops_.front();
+  ASPPI_CHECK(!Empty());
+  return Data()[0];
 }
 
 Asn AsPath::OriginAs() const {
-  ASPPI_CHECK(!hops_.empty());
-  return hops_.back();
+  ASPPI_CHECK(!Empty());
+  return Data()[size_ - 1];
 }
 
 bool AsPath::Contains(Asn asn) const {
-  return std::find(hops_.begin(), hops_.end(), asn) != hops_.end();
+  return std::ranges::find(Hops(), asn) != Hops().end();
 }
 
 int AsPath::OriginPadding() const {
-  if (hops_.empty()) return 0;
-  const Asn origin = hops_.back();
+  if (Empty()) return 0;
+  const std::span<const Asn> hops = Hops();
+  const Asn origin = hops.back();
   int count = 0;
-  for (auto it = hops_.rbegin(); it != hops_.rend() && *it == origin; ++it) {
+  for (auto it = hops.rbegin(); it != hops.rend() && *it == origin; ++it) {
     ++count;
   }
   return count;
@@ -52,64 +107,57 @@ int AsPath::OriginPadding() const {
 int AsPath::MaxRunOf(Asn asn) const {
   int best = 0;
   int run = 0;
-  for (Asn hop : hops_) {
+  for (Asn hop : Hops()) {
     run = (hop == asn) ? run + 1 : 0;
     best = std::max(best, run);
   }
   return best;
 }
 
+// The three strips below compact the hops in place: the write position
+// never passes the read position, so no hop is overwritten before it is read.
+
 int AsPath::CollapseRunsOf(Asn asn) {
-  std::vector<Asn> kept;
-  kept.reserve(hops_.size());
-  int removed = 0;
-  for (Asn hop : hops_) {
-    if (hop == asn && !kept.empty() && kept.back() == asn) {
-      ++removed;
-    } else {
-      kept.push_back(hop);
-    }
+  Asn* hops = Data();
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    if (hops[i] == asn && kept > 0 && hops[kept - 1] == asn) continue;
+    hops[kept++] = hops[i];
   }
-  hops_ = std::move(kept);
+  const int removed = static_cast<int>(size_ - kept);
+  size_ = kept;
   return removed;
 }
 
 int AsPath::TrimRunsOf(Asn asn, int keep) {
   ASPPI_CHECK_GE(keep, 1);
-  std::vector<Asn> kept;
-  kept.reserve(hops_.size());
-  int removed = 0;
+  Asn* hops = Data();
+  std::uint32_t kept = 0;
   int run = 0;
-  for (Asn hop : hops_) {
-    run = (hop == asn) ? run + 1 : 0;
-    if (run > keep) {
-      ++removed;
-    } else {
-      kept.push_back(hop);
-    }
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    run = (hops[i] == asn) ? run + 1 : 0;
+    if (run <= keep) hops[kept++] = hops[i];
   }
-  hops_ = std::move(kept);
+  const int removed = static_cast<int>(size_ - kept);
+  size_ = kept;
   return removed;
 }
 
 int AsPath::CollapseAllRuns() {
-  std::vector<Asn> kept;
-  kept.reserve(hops_.size());
-  int removed = 0;
-  for (Asn hop : hops_) {
-    if (!kept.empty() && kept.back() == hop) {
-      ++removed;
-    } else {
-      kept.push_back(hop);
-    }
+  Asn* hops = Data();
+  std::uint32_t kept = 0;
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    if (kept > 0 && hops[kept - 1] == hops[i]) continue;
+    hops[kept++] = hops[i];
   }
-  hops_ = std::move(kept);
+  const int removed = static_cast<int>(size_ - kept);
+  size_ = kept;
   return removed;
 }
 
 std::vector<Asn> AsPath::DistinctSequence() const {
   std::vector<Asn> out;
-  for (Asn hop : hops_) {
+  for (Asn hop : Hops()) {
     if (out.empty() || out.back() != hop) out.push_back(hop);
   }
   return out;
@@ -125,7 +173,7 @@ bool AsPath::HasLoop() const {
 }
 
 std::string AsPath::ToString() const {
-  return util::Join(hops_, " ");
+  return util::Join(Hops(), " ");
 }
 
 std::optional<AsPath> AsPath::FromString(const std::string& text) {
@@ -135,7 +183,11 @@ std::optional<AsPath> AsPath::FromString(const std::string& text) {
     if (!asn || *asn > 0xffffffffULL) return std::nullopt;
     hops.push_back(static_cast<Asn>(*asn));
   }
-  return AsPath(std::move(hops));
+  return AsPath(hops);
+}
+
+bool AsPath::operator==(const AsPath& other) const {
+  return std::ranges::equal(Hops(), other.Hops());
 }
 
 }  // namespace asppi::bgp

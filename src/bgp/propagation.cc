@@ -64,17 +64,8 @@ WireExport BuildExport(const Announcement& announcement, Asn u_asn,
   // suppressed export needs no path.
   if (!policy_ok && transform == nullptr) return out;
   const int pads = announcement.prepends.PadsFor(u_asn, v_asn);
-  if (is_origin) {
-    out.path = AsPath::Origin(u_asn, pads);
-  } else {
-    // The exporter's pads, then its path, in one allocation.
-    const std::vector<Asn>& tail = best->path.Hops();
-    std::vector<Asn> hops;
-    hops.reserve(static_cast<std::size_t>(pads) + tail.size());
-    hops.assign(static_cast<std::size_t>(pads), u_asn);
-    hops.insert(hops.end(), tail.begin(), tail.end());
-    out.path = AsPath(std::move(hops));
-  }
+  out.path = is_origin ? AsPath::Origin(u_asn, pads)
+                       : AsPath::Prepended(u_asn, pads, best->path);
   ExportAction action = ExportAction::kDefault;
   if (transform != nullptr) {
     action = transform->OnExport(u_asn, v_asn, v_rel, out.out_class, out.path);
@@ -196,14 +187,13 @@ bool SameAsDelivery(const std::optional<Route>& delivered,
     return false;
   }
   // The sender's pads, then (past the origin) its best path.
-  const std::vector<Asn>& hops = delivered->path.Hops();
+  const std::span<const Asn> hops = delivered->path.Hops();
   const std::size_t pads =
       key->length - (is_origin ? 0 : best->path.Length());
-  const auto tail = hops.begin() + static_cast<std::ptrdiff_t>(pads);
-  return std::all_of(hops.begin(), tail,
-                     [u_asn](Asn hop) { return hop == u_asn; }) &&
-         (is_origin || std::equal(tail, hops.end(),
-                                  best->path.Hops().begin()));
+  return std::ranges::all_of(hops.first(pads),
+                             [u_asn](Asn hop) { return hop == u_asn; }) &&
+         (is_origin || std::ranges::equal(hops.subspan(pads),
+                                          best->path.Hops()));
 }
 
 std::optional<Route> ChooseBest(Asn u_asn,

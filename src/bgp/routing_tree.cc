@@ -2,7 +2,6 @@
 
 #include <initializer_list>
 #include <limits>
-#include <queue>
 
 #include "util/check.h"
 #include "util/metrics.h"
@@ -37,17 +36,33 @@ enum Phase : std::uint8_t { kUnrouted, kCustomerPhase, kPeerPhase, kProviderPhas
 constexpr std::size_t kInf = std::numeric_limits<std::size_t>::max();
 constexpr std::uint32_t kNoParent = PropagationResult::kNoParent;
 
-struct QueueItem {
-  std::size_t dist;
-  AsId node;
-  bool operator>(const QueueItem& other) const {
-    if (dist != other.dist) return dist > other.dist;
-    return node > other.node;
+// Dial's bucket queue: one bucket of ASes per route length, grown to the
+// longest length pushed. Pads are at least 1, so every push made while a
+// bucket drains lands in a later bucket, and the order within a bucket does
+// not matter: offer breaks length ties by the lowest ASN whatever the order.
+class BucketQueue {
+ public:
+  void Push(std::size_t dist, AsId node) {
+    if (dist >= buckets_.size()) buckets_.resize(dist + 1);
+    buckets_[dist].push_back(node);
   }
-};
 
-using MinQueue =
-    std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>;
+  // Calls visit(dist, node) for every entry in nondecreasing distance,
+  // entries that visit pushes included, and leaves the queue empty.
+  template <typename Visit>
+  void Drain(Visit&& visit) {
+    std::vector<AsId> bucket;
+    for (std::size_t d = 0; d < buckets_.size(); ++d) {
+      // Drained from a local: a push may grow buckets_ and move its rows.
+      bucket.swap(buckets_[d]);
+      for (const AsId node : bucket) visit(d, node);
+      bucket.clear();
+    }
+  }
+
+ private:
+  std::vector<std::vector<AsId>> buckets_;
+};
 
 }  // namespace
 
@@ -61,7 +76,7 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
   // dist[as]: length of the AS's route, pads included (kInf: none yet).
   std::vector<std::size_t> dist(n, kInf);
   std::vector<std::uint8_t> phase(n, kUnrouted);
-  MinQueue queue;
+  BucketQueue queue;
 
   // `u` offers its route over `edge` during phase `p`. A receiver routed by
   // an earlier phase ignores it; otherwise it keeps the shorter route, and of
@@ -88,17 +103,15 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
   // Dijkstra from what is queued, offering over the `rels` segments.
   const auto settle = [&](Phase p, std::initializer_list<Relation> rels) {
     std::uint64_t visits = 0;
-    while (!queue.empty()) {
-      const auto [d, u] = queue.top();
-      queue.pop();
-      if (d != dist[u]) continue;  // stale entry
+    queue.Drain([&](std::size_t d, AsId u) {
+      if (d != dist[u]) return;  // stale entry
       ++visits;
       for (const Relation rel : rels) {
         for (const Edge& edge : graph.EdgeSegmentAt(u, rel)) {
-          if (offer(u, edge, p)) queue.push({dist[edge.id], edge.id});
+          if (offer(u, edge, p)) queue.Push(dist[edge.id], edge.id);
         }
       }
-    }
+    });
     return visits;
   };
 
@@ -106,7 +119,7 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
   // The origin ranks its own prefix like a customer route.
   dist[origin] = 0;
   phase[origin] = kCustomerPhase;
-  queue.push({0, origin});
+  queue.Push(0, origin);
   Instr().phase1.Add(
       settle(kCustomerPhase, {Relation::kProvider, Relation::kSibling}));
 
@@ -122,7 +135,7 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
   }
   for (AsId v = 0; v < n; ++v) {
     if (phase[v] == kPeerPhase && !graph.SiblingsAt(v).empty()) {
-      queue.push({dist[v], v});
+      queue.Push(dist[v], v);
     }
   }
   peer_visits += settle(kPeerPhase, {Relation::kSibling});
@@ -132,7 +145,7 @@ RoutingTree::RoutingTree(const AsGraph& graph, const Announcement& announcement)
   // Every routed AS exports its best route to its customers; relaxation may
   // chain through provider-route-only ASes (Provider-Customer* suffix).
   for (AsId u = 0; u < n; ++u) {
-    if (phase[u] != kUnrouted) queue.push({dist[u], u});
+    if (phase[u] != kUnrouted) queue.Push(dist[u], u);
   }
   Instr().phase3.Add(
       settle(kProviderPhase, {Relation::kCustomer, Relation::kSibling}));

@@ -3,7 +3,8 @@
 // path-vector rounds:
 //
 //   1. customer routes: shortest distances from the origin over
-//      customer→provider and sibling edges (Dijkstra; pads are the weights),
+//      customer→provider and sibling edges (Dijkstra; pads are the weights,
+//      small integers, so every phase pops a bucket queue by route length),
 //   2. peer routes: one peer edge from any AS whose best is a customer route,
 //      then across sibling edges among ASes without a customer route,
 //   3. provider routes: shortest downhill propagation of each covered AS's

@@ -27,7 +27,7 @@ struct Stripped {
 };
 
 std::optional<Stripped> Strip(const AsPath& path, Asn victim) {
-  const std::vector<Asn>& hops = path.Hops();
+  const std::span<const Asn> hops = path.Hops();
   if (hops.empty() || hops.back() != victim) return std::nullopt;
   Stripped out;
   std::size_t end = hops.size();
@@ -208,7 +208,7 @@ void Invariants::CheckNextHopConsistency(const topo::AsGraph& graph,
     const Asn via = best->learned_from;
     if (via != 0 && via == skip_learned_from) continue;
     const int pads = ann.prepends.PadsFor(via, asn);
-    const std::vector<Asn>& hops = best->path.Hops();
+    const std::span<const Asn> hops = best->path.Hops();
 
     // The stored path must open with exactly `pads` copies of the neighbor,
     // followed by the neighbor's own stored best path (empty for the origin).
@@ -225,7 +225,7 @@ void Invariants::CheckNextHopConsistency(const topo::AsGraph& graph,
       expected.insert(expected.end(), via_best->path.Hops().begin(),
                       via_best->path.Hops().end());
     }
-    if (hops != expected) {
+    if (!std::ranges::equal(hops, expected)) {
       out.push_back(Format(
           "next-hop: AS%u holds %s but AS%u's best plus %d pad(s) gives %s",
           static_cast<unsigned>(asn), best->path.ToString().c_str(),
@@ -420,18 +420,16 @@ void Invariants::CheckStrategicAttack(
     auto trusted_view = [&program, victim](
         const std::vector<std::pair<Asn, bgp::AsPath>>& paths) {
       detect::StrippedView view;
-      auto add = [&view, victim](Asn owner, const std::vector<Asn>& hops,
+      auto add = [&view, victim](Asn owner, std::span<const Asn> hops,
                                  std::size_t from) {
         if (view.count(owner)) return;  // first observation wins, as in Scan
-        auto stripped = detect::StripVictimPadding(
-            AsPath(std::vector<Asn>(hops.begin() + static_cast<long>(from),
-                                    hops.end())),
-            victim);
+        auto stripped =
+            detect::StripVictimPadding(AsPath(hops.subspan(from)), victim);
         if (stripped) view.emplace(owner, std::move(*stripped));
       };
       for (const auto& [monitor, path] : paths) {
         if (program.IsColluder(monitor)) continue;
-        const std::vector<Asn>& hops = path.Hops();
+        const std::span<const Asn> hops = path.Hops();
         if (hops.empty()) continue;
         add(monitor, hops, 0);
         std::size_t i = 0;
@@ -480,7 +478,7 @@ void Invariants::CheckDefendedState(const topo::AsGraph& graph,
   // being the receiver-side hop adjacent to the run. Fewer copies prove
   // someone removed padding.
   const auto undercut = [&prepends](Asn receiver, const AsPath& path) {
-    const std::vector<Asn>& hops = path.Hops();
+    const std::span<const Asn> hops = path.Hops();
     Asn successor = receiver;
     std::size_t i = 0;
     while (i < hops.size()) {
@@ -717,7 +715,7 @@ void Invariants::CheckStreamBatchEquivalence(
   std::sort(batch_alarms.begin(), batch_alarms.end(), detect::AlarmLess);
 
   const std::vector<detect::Alarm> stream_alarms =
-      incremental.CurrentAlarms(victim);
+      incremental.CurrentAlarms({victim, prefix});
   if (stream_alarms == batch_alarms) return;
   out.push_back(Format(
       "stream-batch: incremental detector holds %zu alarm(s), batch scan "

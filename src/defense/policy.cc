@@ -35,7 +35,7 @@ DefenseMetrics& Instr() {
 // looped deliveries before the filter runs), so the per-run check is exact.
 bool PathLooksStripped(Asn receiver_asn, const bgp::AsPath& path,
                        const bgp::PrependPolicy& prepends) {
-  const std::vector<Asn>& hops = path.Hops();
+  const std::span<const Asn> hops = path.Hops();
   Asn successor = receiver_asn;
   std::size_t i = 0;
   while (i < hops.size()) {

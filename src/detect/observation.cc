@@ -15,16 +15,14 @@ std::vector<std::pair<Asn, AsPath>> ExpandObservedPath(Asn monitor,
   entries.emplace_back(monitor, path);
   // Suffix expansion: decompose the path into runs [(a1,c1)…(ak,ck)];
   // the AS of run i holds the route formed by runs i+1…k.
-  const auto& hops = path.Hops();
+  const std::span<const Asn> hops = path.Hops();
   std::size_t i = 0;
   while (i < hops.size()) {
     Asn as = hops[i];
     std::size_t j = i;
     while (j < hops.size() && hops[j] == as) ++j;
     if (j < hops.size() && !seen(as)) {
-      entries.emplace_back(as, AsPath(std::vector<Asn>(
-                                   hops.begin() + static_cast<long>(j),
-                                   hops.end())));
+      entries.emplace_back(as, AsPath(hops.subspan(j)));
     }
     i = j;
   }

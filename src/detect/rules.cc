@@ -10,7 +10,7 @@ using topo::Relation;
 
 std::optional<StrippedRoute> StripVictimPadding(const AsPath& path,
                                                 Asn victim) {
-  const auto& hops = path.Hops();
+  const std::span<const Asn> hops = path.Hops();
   if (hops.empty() || hops.back() != victim) return std::nullopt;
   StrippedRoute out;
   std::size_t end = hops.size();

@@ -212,12 +212,12 @@ bgp::ExportAction ProgramTransform::OnExport(Asn exporter, Asn to,
       to_insert.push_back(poison);
     }
     if (!to_insert.empty()) {
-      std::vector<Asn> hops = path.Hops();
+      std::vector<Asn> hops(path.Hops().begin(), path.Hops().end());
       std::size_t lead = 0;
       while (lead < hops.size() && hops[lead] == exporter) ++lead;
       hops.insert(hops.begin() + static_cast<long>(lead), to_insert.begin(),
                   to_insert.end());
-      path = bgp::AsPath(std::move(hops));
+      path = bgp::AsPath(hops);
       modified = true;
     }
   }

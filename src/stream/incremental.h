@@ -2,20 +2,21 @@
 //
 // The batch `detect::AsppDetector` rebuilds and re-strips full RouteSnapshots
 // per Scan. IncrementalDetector maintains the same observation state
-// incrementally: per-victim suffix-expansion contributions (which monitor
-// entry implies which derived route, resolved latest-wins), a segment index
-// (every suffix of every stripped core → the owners holding it and their
-// padding counts) answering the Fig.-4 witness query in one lookup, and the
-// set of currently *triggered* observers (padding below baseline). One
-// applied update touches only the affected victim's buckets: the derived
-// routes of the changed entry, the index rows of their core suffixes, and a
-// re-evaluation of that victim's triggered observers.
+// incrementally, once per observed prefix (stream::PrefixKey: origin AS and
+// prefix): suffix-expansion contributions (which monitor entry implies which
+// derived route, resolved latest-wins), a segment index (every suffix of
+// every stripped core → the owners holding it and their padding counts)
+// answering the Fig.-4 witness query in one lookup, and the set of currently
+// *triggered* observers (padding below baseline). One applied update touches
+// only the affected prefix's state: the derived routes of the changed entry,
+// the index rows of their core suffixes, and a re-evaluation of that
+// prefix's triggered observers.
 //
 // Equivalence contract (the keystone, asserted by tests/stream_test.cc): at
-// any point of the replay, `CurrentAlarms(v)` equals — as a set — the batch
-// detector's `Scan(v, BaselinePaths(v), CurrentPaths(v))` under
+// any point of the replay, `CurrentAlarms(k)` equals — as a set — the batch
+// detector's `Scan(k.origin, BaselinePaths(k), CurrentPaths(k))` under
 // `ConflictPolicy::kLatestObserved`. `Apply` reports the alarms newly raised
-// by each event, stamped with its sequence number.
+// by each event, stamped with its sequence number and prefix.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +34,13 @@ namespace asppi::stream {
 struct StampedAlarm {
   std::uint64_t sequence = 0;
   Asn victim = 0;
+  data::Prefix prefix;  // the victim's prefix the alarm is about
   detect::Alarm alarm;
 
   bool operator==(const StampedAlarm&) const = default;
 };
 
-// Total order for deterministic merges: (sequence, victim, alarm).
+// Total order for deterministic merges: (sequence, victim, prefix, alarm).
 bool StampedAlarmLess(const StampedAlarm& a, const StampedAlarm& b);
 
 class IncrementalDetector {
@@ -48,7 +50,7 @@ class IncrementalDetector {
     const topo::AsGraph* graph = nullptr;
     // Prefix owners' own prepend policies, for the victim-aware rule
     // (nullptr disables it). `PadsFor(victim, neighbor)` is consulted for
-    // every victim this detector tracks.
+    // every prefix of every victim this detector tracks.
     const bgp::PrependPolicy* victim_policy = nullptr;
     detect::DetectorOptions detector;
   };
@@ -66,14 +68,15 @@ class IncrementalDetector {
   // `stream.alarms_retracted` counter accounts for them).
   std::vector<StampedAlarm> Apply(const data::Update& update);
 
-  // The current alarm set for `victim`, sorted by detect::AlarmLess.
-  std::vector<detect::Alarm> CurrentAlarms(Asn victim) const;
+  // The current alarm set for one observed prefix, sorted by
+  // detect::AlarmLess.
+  std::vector<detect::Alarm> CurrentAlarms(const PrefixKey& key) const;
 
-  // Live monitor-path entries toward `victim` in ascending
-  // (sequence, monitor, prefix) order — the canonical order for a batch
+  // Live monitor-path entries of one observed prefix in ascending
+  // (sequence, monitor) order — the canonical order for a batch
   // kLatestObserved reconstruction. BaselinePaths is the seeded equivalent.
-  std::vector<std::pair<Asn, AsPath>> CurrentPaths(Asn victim) const;
-  std::vector<std::pair<Asn, AsPath>> BaselinePaths(Asn victim) const;
+  std::vector<std::pair<Asn, AsPath>> CurrentPaths(const PrefixKey& key) const;
+  std::vector<std::pair<Asn, AsPath>> BaselinePaths(const PrefixKey& key) const;
 
   const StreamState& State() const { return state_; }
 
@@ -84,8 +87,8 @@ class IncrementalDetector {
     AsPath route;
   };
 
-  // Everything the rules need about one victim's observation set.
-  struct VictimState {
+  // Everything the rules need about one observed prefix.
+  struct PrefixState {
     // Derived-route contributions per owner AS, keyed by the table entry
     // they came from. The effective route is the latest-wins maximum by
     // (sequence, monitor, prefix).
@@ -118,37 +121,38 @@ class IncrementalDetector {
     std::vector<detect::Alarm> alarm_set;
   };
 
-  // Applies the (removal, addition) of one table entry to `victim`'s bucket.
-  // Emits newly-raised alarms into `out`.
-  void ApplyToVictim(Asn victim, const StreamState::EntryKey& key,
+  // Applies the (removal, addition) of one table entry, whose path
+  // originates at `target.origin`, to that prefix's state. Emits
+  // newly-raised alarms into `out`.
+  void ApplyToPrefix(const PrefixKey& target, const StreamState::EntryKey& key,
                      std::uint64_t sequence, const AsPath* old_path,
                      const AsPath* new_path, std::vector<StampedAlarm>& out);
 
   // Recomputes the effective route of `owner`; returns true if it changed.
-  bool ResolveEffective(VictimState& vs, Asn victim, Asn owner);
+  bool ResolveEffective(PrefixState& ps, Asn victim, Asn owner);
 
-  void IndexInsert(VictimState& vs, Asn owner,
+  void IndexInsert(PrefixState& ps, Asn owner,
                    const detect::StrippedRoute& stripped);
-  void IndexErase(VictimState& vs, Asn owner,
+  void IndexErase(PrefixState& ps, Asn owner,
                   const detect::StrippedRoute& stripped);
 
   // Re-runs the Fig.-4 rules for one triggered observer.
-  void EvaluateObserver(Asn victim, VictimState& vs, Asn observer);
+  void EvaluateObserver(Asn victim, PrefixState& ps, Asn observer);
 
   // Assembles the deduped, AlarmLess-sorted alarm set from the per-observer
   // rule results, mirroring the batch Scan's insertion order.
-  std::vector<detect::Alarm> BuildAlarmSet(const VictimState& vs) const;
+  std::vector<detect::Alarm> BuildAlarmSet(const PrefixState& ps) const;
 
   // Rebuilds the alarm set, diffs against the previous one, emits new
   // alarms stamped with `sequence`.
-  void RefreshAlarms(Asn victim, VictimState& vs, std::uint64_t sequence,
-                     std::vector<StampedAlarm>& out);
+  void RefreshAlarms(const PrefixKey& target, PrefixState& ps,
+                     std::uint64_t sequence, std::vector<StampedAlarm>& out);
 
   Options options_;
   StreamState state_;
-  std::map<Asn, VictimState> victims_;
-  // Baseline entries per victim in canonical order (all sequence 0).
-  std::map<Asn, std::vector<std::pair<Asn, AsPath>>> baseline_paths_;
+  std::map<PrefixKey, PrefixState> prefixes_;
+  // Baseline entries per observed prefix in canonical order (all sequence 0).
+  std::map<PrefixKey, std::vector<std::pair<Asn, AsPath>>> baseline_paths_;
 };
 
 }  // namespace asppi::stream

@@ -125,8 +125,9 @@ std::vector<StampedAlarm> Pipeline::Finish() {
   return alarms_;
 }
 
-std::vector<detect::Alarm> Pipeline::CurrentAlarms(Asn victim) const {
-  return shards_[ShardOf(victim)].detector.CurrentAlarms(victim);
+std::vector<detect::Alarm> Pipeline::CurrentAlarms(
+    const PrefixKey& key) const {
+  return shards_[ShardOf(key.origin)].detector.CurrentAlarms(key);
 }
 
 const IncrementalDetector& Pipeline::DetectorFor(Asn victim) const {

@@ -2,11 +2,10 @@
 //
 // The Pipeline distributes victims (prefix-owner ASes) over N independent
 // IncrementalDetector shards (`victim % num_shards`) and processes update
-// windows on a util::ThreadPool. Sharding is by victim, not by prefix: the
-// Fig.-4 witness rule compares routes of *different* monitors and prefixes of
-// the same origin, so one victim's whole observation set must live in one
-// shard — prefix sharding would sever witnesses from the observers they
-// vindicate (DESIGN.md §4e).
+// windows on a util::ThreadPool. The Fig.-4 witness rule compares routes of
+// *different* monitors to the same observed prefix (origin and prefix), so
+// each such observation set must live in one shard; sharding by victim keeps
+// it there, with the victim's other prefixes beside it (DESIGN.md §4e).
 //
 // Determinism: a serial dispatcher assigns every event to its shard (queue
 // fill order depends only on the input order and the shard function), windows
@@ -63,8 +62,9 @@ class Pipeline {
   // by StampedAlarmLess. The pipeline stays queryable afterwards.
   std::vector<StampedAlarm> Finish();
 
-  // Current alarm set for `victim` (delegates to its shard's detector).
-  std::vector<detect::Alarm> CurrentAlarms(Asn victim) const;
+  // Current alarm set for one observed prefix (delegates to its victim's
+  // shard's detector).
+  std::vector<detect::Alarm> CurrentAlarms(const PrefixKey& key) const;
   const IncrementalDetector& DetectorFor(Asn victim) const;
 
   std::size_t NumShards() const { return shards_.size(); }

@@ -34,7 +34,7 @@ void StreamState::Insert(const EntryKey& key, AsPath path,
   entry.victim = path.OriginAs();
   entry.path = std::move(path);
   entry.sequence = sequence;
-  buckets_[entry.victim].insert({sequence, key.monitor, key.prefix});
+  buckets_[{entry.victim, key.prefix}].insert({sequence, key.monitor});
   entries_.insert_or_assign(key, std::move(entry));
 }
 
@@ -47,9 +47,8 @@ StreamState::Change StreamState::Apply(const data::Update& update) {
   if (it != entries_.end()) {
     change.old_victim = it->second.victim;
     change.old_path = it->second.path;
-    auto bucket = buckets_.find(it->second.victim);
-    bucket->second.erase(
-        {it->second.sequence, change.key.monitor, change.key.prefix});
+    auto bucket = buckets_.find({it->second.victim, change.key.prefix});
+    bucket->second.erase({it->second.sequence, change.key.monitor});
     if (bucket->second.empty()) buckets_.erase(bucket);
   }
 
@@ -73,21 +72,21 @@ StreamState::Change StreamState::Apply(const data::Update& update) {
 }
 
 std::vector<std::pair<Asn, AsPath>> StreamState::PathsToward(
-    Asn victim) const {
+    const PrefixKey& key) const {
   std::vector<std::pair<Asn, AsPath>> out;
-  auto bucket = buckets_.find(victim);
+  auto bucket = buckets_.find(key);
   if (bucket == buckets_.end()) return out;
   out.reserve(bucket->second.size());
-  for (const auto& [sequence, monitor, prefix] : bucket->second) {
-    out.emplace_back(monitor, entries_.at({monitor, prefix}).path);
+  for (const auto& [sequence, monitor] : bucket->second) {
+    out.emplace_back(monitor, entries_.at({monitor, key.prefix}).path);
   }
   return out;
 }
 
-std::vector<Asn> StreamState::Victims() const {
-  std::vector<Asn> out;
+std::vector<PrefixKey> StreamState::Prefixes() const {
+  std::vector<PrefixKey> out;
   out.reserve(buckets_.size());
-  for (const auto& [victim, bucket] : buckets_) out.push_back(victim);
+  for (const auto& [key, bucket] : buckets_) out.push_back(key);
   return out;
 }
 
@@ -97,6 +96,29 @@ data::RibSnapshot StreamState::ToRib() const {
     rib.tables[key.monitor][key.prefix] = entry.path;
   }
   return rib;
+}
+
+std::set<PrefixKey> ObservedPrefixes(const data::RibSnapshot& rib) {
+  std::set<PrefixKey> out;
+  for (const auto& [monitor, table] : rib.tables) {
+    for (const auto& [prefix, path] : table) {
+      if (!path.Empty()) out.insert({path.OriginAs(), prefix});
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<Asn, AsPath>> PathsToward(const data::RibSnapshot& rib,
+                                                const PrefixKey& key) {
+  std::vector<std::pair<Asn, AsPath>> out;
+  for (const auto& [monitor, table] : rib.tables) {
+    auto it = table.find(key.prefix);
+    if (it != table.end() && !it->second.Empty() &&
+        it->second.OriginAs() == key.origin) {
+      out.emplace_back(monitor, it->second);
+    }
+  }
+  return out;
 }
 
 void ApplyUpdates(data::RibSnapshot& rib,

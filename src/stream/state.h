@@ -2,12 +2,14 @@
 //
 // StreamState maintains the latest-wins view of every (monitor, prefix)
 // table entry as a sequenced update stream replays over a baseline RIB
-// snapshot, and groups live entries into per-victim buckets (keyed by the
-// origin AS of the announced path — the prefix owner the detector defends).
+// snapshot, and groups live entries into one bucket per observed prefix:
+// its origin AS (the prefix owner the detector defends) and the prefix
+// itself. The paper compares routes to the same prefix, so an origin that
+// announces two prefixes with different padding has two buckets.
 //
-// The canonical reconstruction contract: `PathsToward(v)` returns the live
-// entries of v's bucket in ascending (sequence, monitor, prefix) order, so
-// `RouteSnapshot::FromMonitors(PathsToward(v), kLatestObserved)` is *the*
+// The canonical reconstruction contract: `PathsToward(k)` returns the live
+// entries of k's bucket in ascending (sequence, monitor) order, so
+// `RouteSnapshot::FromMonitors(PathsToward(k), kLatestObserved)` is *the*
 // snapshot implied by the events applied so far — the right-hand side of the
 // batch/stream equivalence contract (DESIGN.md §4e).
 #pragma once
@@ -15,7 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bgp/as_path.h"
@@ -25,6 +27,13 @@ namespace asppi::stream {
 
 using bgp::AsPath;
 using topo::Asn;
+
+// One observed prefix: the detector's unit of observation.
+struct PrefixKey {
+  Asn origin = 0;
+  data::Prefix prefix;
+  auto operator<=>(const PrefixKey&) const = default;
+};
 
 class StreamState {
  public:
@@ -56,12 +65,12 @@ class StreamState {
   // latest-wins conflict resolution for derived routes).
   Change Apply(const data::Update& update);
 
-  // Live entries toward `victim` in ascending (sequence, monitor, prefix)
-  // order. Empty if the victim currently originates nothing.
-  std::vector<std::pair<Asn, AsPath>> PathsToward(Asn victim) const;
+  // Live entries of `key`'s prefix originated by `key.origin`, in ascending
+  // (sequence, monitor) order. Empty if no monitor holds such a route.
+  std::vector<std::pair<Asn, AsPath>> PathsToward(const PrefixKey& key) const;
 
-  // Victims with at least one live entry, ascending.
-  std::vector<Asn> Victims() const;
+  // Observed prefixes with at least one live entry, ascending.
+  std::vector<PrefixKey> Prefixes() const;
 
   // The full current table as a RIB snapshot (drops sequence stamps).
   data::RibSnapshot ToRib() const;
@@ -75,13 +84,11 @@ class StreamState {
     Asn victim = 0;
   };
 
-  using BucketKey = std::tuple<std::uint64_t, Asn, data::Prefix>;
-
   void Insert(const EntryKey& key, AsPath path, std::uint64_t sequence);
 
   std::map<EntryKey, Entry> entries_;
-  // victim → live (sequence, monitor, prefix) keys, the canonical order.
-  std::map<Asn, std::set<BucketKey>> buckets_;
+  // Observed prefix → live (sequence, monitor) keys, the canonical order.
+  std::map<PrefixKey, std::set<std::pair<std::uint64_t, Asn>>> buckets_;
 };
 
 // Latest-wins replay of a whole update stream over a RIB snapshot (the batch
@@ -89,5 +96,13 @@ class StreamState {
 // overwrite the (monitor, prefix) slot, withdrawals erase it.
 void ApplyUpdates(data::RibSnapshot& rib,
                   const std::vector<data::Update>& updates);
+
+// The batch side of the same observation key. Every (origin, prefix) that
+// some monitor of `rib` holds a route for, ascending.
+std::set<PrefixKey> ObservedPrefixes(const data::RibSnapshot& rib);
+// The monitors' routes to `key.prefix` that originate at `key.origin`, in
+// ascending monitor order: what AsppDetector::Scan takes for that prefix.
+std::vector<std::pair<Asn, AsPath>> PathsToward(const data::RibSnapshot& rib,
+                                                const PrefixKey& key);
 
 }  // namespace asppi::stream

@@ -26,7 +26,7 @@ using topo::AsGraph;
 using topo::Asn;
 
 bool Traverses(const bgp::AsPath& path, Asn asn) {
-  const std::vector<Asn>& hops = path.Hops();
+  const std::span<const Asn> hops = path.Hops();
   return std::find(hops.begin(), hops.end(), asn) != hops.end();
 }
 

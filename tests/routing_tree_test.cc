@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <string>
 
@@ -237,6 +238,41 @@ TEST_P(EngineAgreement, ClassAndLengthMatchPropagation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreement,
                          ::testing::Values(11, 22, 33, 44, 55));
+
+TEST(RoutingTree, HundredsOfPadsPerRouteMatchRun) {
+  // λ = kMaxPads at the origin and per-neighbor intermediary pads of
+  // 1..kMaxPads on every link: routes run to hundreds of hops, so the bucket
+  // queue spans hundreds of distances, ASes are queued again at shorter
+  // distances (stale entries), and most paths live on the heap.
+  topo::GeneratorParams params;
+  params.seed = 64;
+  params.num_tier1 = 4;
+  params.num_tier2 = 20;
+  params.num_tier3 = 50;
+  params.num_stubs = 150;
+  params.num_content = 3;
+  params.num_sibling_pairs = 10;
+  const topo::GeneratedTopology gen = topo::GenerateInternetTopology(params);
+  util::Rng rng(util::DeriveSeed(64, 1));
+  std::size_t longest = 0;
+  for (int trial = 0; trial < 3; ++trial) {
+    Announcement ann = Announce(rng.Pick(gen.graph.Ases()), kMaxPads);
+    for (topo::AsId id = 0; id < gen.graph.NumAses(); ++id) {
+      const Asn asn = gen.graph.AsnAt(id);
+      if (asn == ann.origin) continue;
+      for (const topo::Edge& edge : gen.graph.NeighborsAt(id)) {
+        ann.prepends.SetForNeighbor(
+            asn, edge.asn, 1 + static_cast<int>(rng.Below(kMaxPads)));
+      }
+    }
+    ExpectSameRoutesAsRun(gen.graph, ann);
+    const PropagationResult built = BuiltFromTree(gen.graph, ann);
+    for (const auto& best : built.BestRoutes()) {
+      if (best) longest = std::max(longest, best->path.Length());
+    }
+  }
+  EXPECT_GT(longest, 3u * kMaxPads);
+}
 
 TEST(RoutingTree, ReachableCountMatchesPropagation) {
   topo::GeneratorParams params;

@@ -222,7 +222,7 @@ TEST(Snapshot, WarmStartedAttackMatchesColdRun) {
     const auto& got = warm_outcome.after.BestAt(asn);
     ASSERT_EQ(want.has_value(), got.has_value()) << "AS" << asn;
     if (want.has_value()) {
-      EXPECT_EQ(want->path.Hops(), got->path.Hops()) << "AS" << asn;
+      EXPECT_EQ(want->path.ToString(), got->path.ToString()) << "AS" << asn;
     }
   }
   std::remove(path.c_str());

@@ -58,31 +58,32 @@ struct Shadow {
                                                   update.path};
     }
   }
-  // Entries toward `victim` in the canonical (sequence, monitor, prefix)
+  // Entries of one observed prefix in the canonical (sequence, monitor)
   // order the equivalence contract is stated in.
-  std::vector<std::pair<Asn, AsPath>> PathsToward(Asn victim) const {
-    std::vector<std::tuple<std::uint64_t, Asn, data::Prefix>> keys;
-    for (const auto& [key, entry] : entries) {
-      if (entry.second.OriginAs() == victim) {
-        keys.emplace_back(entry.first, key.monitor, key.prefix);
+  std::vector<std::pair<Asn, AsPath>> PathsToward(const PrefixKey& key) const {
+    std::vector<std::pair<std::uint64_t, Asn>> keys;
+    for (const auto& [slot, entry] : entries) {
+      if (slot.prefix == key.prefix && entry.second.OriginAs() == key.origin) {
+        keys.emplace_back(entry.first, slot.monitor);
       }
     }
     std::sort(keys.begin(), keys.end());
     std::vector<std::pair<Asn, AsPath>> out;
-    for (const auto& [sequence, monitor, prefix] : keys) {
-      out.emplace_back(monitor, entries.at({monitor, prefix}).second);
+    for (const auto& [sequence, monitor] : keys) {
+      out.emplace_back(monitor, entries.at({monitor, key.prefix}).second);
     }
     return out;
   }
 };
 
-std::vector<detect::Alarm> BatchAlarms(detect::AsppDetector& batch, Asn victim,
+std::vector<detect::Alarm> BatchAlarms(detect::AsppDetector& batch,
+                                       const PrefixKey& key,
                                        const Shadow& baseline,
                                        const Shadow& current,
                                        const bgp::PrependPolicy* policy) {
   std::vector<detect::Alarm> alarms =
-      batch.Scan(victim, baseline.PathsToward(victim),
-                 current.PathsToward(victim), policy);
+      batch.Scan(key.origin, baseline.PathsToward(key),
+                 current.PathsToward(key), policy);
   std::sort(alarms.begin(), alarms.end(), detect::AlarmLess);
   return alarms;
 }
@@ -94,7 +95,7 @@ struct Corpus {
   std::vector<Asn> monitors;
   data::RibSnapshot rib;
   std::vector<data::Update> updates;
-  std::set<Asn> victims;
+  std::set<PrefixKey> prefixes;  // every (origin, prefix) ever observed
   std::size_t num_attacks = 0;
 };
 
@@ -170,11 +171,13 @@ Corpus MakeCorpus(std::uint64_t seed, std::size_t attacks,
 
   for (const auto& [monitor, table] : corpus.rib.tables) {
     for (const auto& [prefix, path] : table) {
-      corpus.victims.insert(path.OriginAs());
+      corpus.prefixes.insert({path.OriginAs(), prefix});
     }
   }
   for (const data::Update& update : corpus.updates) {
-    if (!update.withdraw) corpus.victims.insert(update.path.OriginAs());
+    if (!update.withdraw) {
+      corpus.prefixes.insert({update.path.OriginAs(), update.prefix});
+    }
   }
   return corpus;
 }
@@ -204,43 +207,49 @@ TEST(StreamEquivalence, MatchesBatchDetectorAtEveryStreamPrefix) {
   UpdateSource source(corpus.updates);
   data::Update update;
   while (source.Next(update)) {
-    // Only the victims of the touched slot can change.
-    std::set<Asn> affected;
+    // Only the observed prefixes of the touched slot can change.
+    std::set<PrefixKey> affected;
     auto held = current.entries.find({update.monitor, update.prefix});
     if (held != current.entries.end()) {
-      affected.insert(held->second.second.OriginAs());
+      affected.insert({held->second.second.OriginAs(), update.prefix});
     }
-    if (!update.withdraw) affected.insert(update.path.OriginAs());
+    if (!update.withdraw) {
+      affected.insert({update.path.OriginAs(), update.prefix});
+    }
 
     const std::vector<StampedAlarm> emitted = inc.Apply(update);
     current.Apply(update);
     emitted_total += emitted.size();
     for (const StampedAlarm& stamped : emitted) {
       EXPECT_EQ(stamped.sequence, update.sequence);
-      EXPECT_TRUE(affected.count(stamped.victim))
-          << "alarm for untouched victim " << stamped.victim;
+      EXPECT_TRUE(affected.count({stamped.victim, stamped.prefix}))
+          << "alarm for untouched prefix " << stamped.prefix.ToString()
+          << " of victim " << stamped.victim;
     }
-    for (Asn victim : affected) {
-      ASSERT_EQ(inc.CurrentAlarms(victim),
-                BatchAlarms(batch, victim, baseline, current, nullptr))
-          << "victim " << victim << " after seq " << update.sequence;
-      ASSERT_EQ(inc.CurrentPaths(victim), current.PathsToward(victim))
-          << "victim " << victim << " after seq " << update.sequence;
+    for (const PrefixKey& key : affected) {
+      ASSERT_EQ(inc.CurrentAlarms(key),
+                BatchAlarms(batch, key, baseline, current, nullptr))
+          << "victim " << key.origin << " " << key.prefix.ToString()
+          << " after seq " << update.sequence;
+      ASSERT_EQ(inc.CurrentPaths(key), current.PathsToward(key))
+          << "victim " << key.origin << " " << key.prefix.ToString()
+          << " after seq " << update.sequence;
     }
     if (++step % 37 == 0) {
-      for (Asn victim : corpus.victims) {
-        ASSERT_EQ(inc.CurrentAlarms(victim),
-                  BatchAlarms(batch, victim, baseline, current, nullptr))
-            << "victim " << victim << " at full check, seq "
-            << update.sequence;
+      for (const PrefixKey& key : corpus.prefixes) {
+        ASSERT_EQ(inc.CurrentAlarms(key),
+                  BatchAlarms(batch, key, baseline, current, nullptr))
+            << "victim " << key.origin << " " << key.prefix.ToString()
+            << " at full check, seq " << update.sequence;
       }
     }
   }
-  for (Asn victim : corpus.victims) {
-    EXPECT_EQ(inc.CurrentAlarms(victim),
-              BatchAlarms(batch, victim, baseline, current, nullptr))
-        << "victim " << victim << " at end of stream";
-    EXPECT_EQ(inc.BaselinePaths(victim), baseline.PathsToward(victim));
+  for (const PrefixKey& key : corpus.prefixes) {
+    EXPECT_EQ(inc.CurrentAlarms(key),
+              BatchAlarms(batch, key, baseline, current, nullptr))
+        << "victim " << key.origin << " " << key.prefix.ToString()
+        << " at end of stream";
+    EXPECT_EQ(inc.BaselinePaths(key), baseline.PathsToward(key));
   }
   EXPECT_GT(emitted_total, 0u) << "injected attacks raised no alarms";
 }
@@ -305,7 +314,8 @@ TEST(IncrementalDetector, HandBuiltInterceptionStampedThenRetracted) {
   options.victim_policy = &policy;
   IncrementalDetector inc(options);
   inc.SeedBaseline(rib);
-  EXPECT_TRUE(inc.CurrentAlarms(5).empty());
+  const PrefixKey target{5, prefix};
+  EXPECT_TRUE(inc.CurrentAlarms(target).empty());
 
   // The attack: monitor 1's feed shows victim 5's padding stripped.
   data::Update attack;
@@ -323,6 +333,7 @@ TEST(IncrementalDetector, HandBuiltInterceptionStampedThenRetracted) {
   for (const StampedAlarm& stamped : emitted) {
     EXPECT_EQ(stamped.sequence, 7u);
     EXPECT_EQ(stamped.victim, 5u);
+    EXPECT_EQ(stamped.prefix, prefix);
     if (stamped.alarm.confidence == detect::Alarm::Confidence::kHigh &&
         stamped.alarm.suspect == 2u && stamped.alarm.observer == 1u) {
       saw_witness_alarm = true;
@@ -339,9 +350,9 @@ TEST(IncrementalDetector, HandBuiltInterceptionStampedThenRetracted) {
       detect::RouteSnapshot::ConflictPolicy::kLatestObserved;
   detect::AsppDetector batch(nullptr, batch_options);
   std::vector<detect::Alarm> expected = batch.Scan(
-      5, inc.BaselinePaths(5), inc.CurrentPaths(5), &policy);
+      5, inc.BaselinePaths(target), inc.CurrentPaths(target), &policy);
   std::sort(expected.begin(), expected.end(), detect::AlarmLess);
-  EXPECT_EQ(inc.CurrentAlarms(5), expected);
+  EXPECT_EQ(inc.CurrentAlarms(target), expected);
 
   // Withdrawing the poisoned feed retracts every alarm; retractions are
   // silent (no emissions).
@@ -351,7 +362,85 @@ TEST(IncrementalDetector, HandBuiltInterceptionStampedThenRetracted) {
   withdraw.prefix = prefix;
   withdraw.withdraw = true;
   EXPECT_TRUE(inc.Apply(withdraw).empty());
-  EXPECT_TRUE(inc.CurrentAlarms(5).empty());
+  EXPECT_TRUE(inc.CurrentAlarms(target).empty());
+}
+
+// --- the observation key: one origin, two prefixes ---------------------------
+
+// The shape of AS789 in the generated corpus: one origin announces a λ=1
+// prefix and a λ=5 one, and the λ=5 one later fails over to 9 pads. The
+// paper compares routes to one prefix, so no side may read the light
+// prefix's short route against the heavy prefix's padded one.
+struct TwoPrefixOrigin {
+  static constexpr Asn kOrigin = 789;
+  const data::Prefix light = *data::Prefix::Parse("10.52.0.0/23");
+  const data::Prefix heavy = *data::Prefix::Parse("10.178.0.0/23");
+  data::RibSnapshot before;
+  std::vector<data::Update> updates;
+  data::RibSnapshot after;
+
+  TwoPrefixOrigin() {
+    before.tables[1][heavy] = P({2, 3, 789, 789, 789, 789, 789});
+    before.tables[2][heavy] = P({9, 3, 789, 789, 789, 789, 789});
+    // Monitor 1 learns the light prefix; monitor 2's heavy route fails over.
+    updates.resize(2);
+    updates[0].sequence = 1;
+    updates[0].monitor = 1;
+    updates[0].prefix = light;
+    updates[0].path = P({2, 3, 789});
+    updates[1].sequence = 2;
+    updates[1].monitor = 2;
+    updates[1].prefix = heavy;
+    updates[1].path = P({9, 3, 789, 789, 789, 789, 789, 789, 789, 789, 789});
+    after = before;
+    ApplyUpdates(after, updates);
+  }
+};
+
+TEST(ObservationKey, OneOriginTwoPrefixesRaisesNoAlarmInBatch) {
+  const TwoPrefixOrigin o;
+  const detect::AsppDetector batch(nullptr);
+  const std::set<PrefixKey> keys = ObservedPrefixes(o.after);
+  ASSERT_EQ(keys, (std::set<PrefixKey>{{789, o.light}, {789, o.heavy}}));
+  std::vector<std::pair<Asn, AsPath>> merged_before;
+  std::vector<std::pair<Asn, AsPath>> merged_after;
+  for (const PrefixKey& key : keys) {
+    const auto before = PathsToward(o.before, key);
+    const auto after = PathsToward(o.after, key);
+    EXPECT_TRUE(batch.Scan(key.origin, before, after).empty())
+        << key.prefix.ToString();
+    merged_before.insert(merged_before.end(), before.begin(), before.end());
+    merged_after.insert(merged_after.end(), after.begin(), after.end());
+  }
+  // Keyed by origin alone, in (monitor, prefix) order, monitor 1's light
+  // route reads as its heavy route stripped of 4 pads, and AS2 is accused.
+  std::stable_sort(
+      merged_after.begin(), merged_after.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  const std::vector<detect::Alarm> merged =
+      batch.Scan(TwoPrefixOrigin::kOrigin, merged_before, merged_after);
+  EXPECT_NE(detect::FindAccusing(merged, 2), nullptr);
+}
+
+TEST(ObservationKey, OneOriginTwoPrefixesRaisesNoAlarmInStream) {
+  const TwoPrefixOrigin o;
+  IncrementalDetector inc;
+  inc.SeedBaseline(o.before);
+  for (const data::Update& update : o.updates) {
+    EXPECT_TRUE(inc.Apply(update).empty()) << "seq " << update.sequence;
+  }
+  detect::DetectorOptions batch_options;
+  batch_options.conflict_policy =
+      detect::RouteSnapshot::ConflictPolicy::kLatestObserved;
+  const detect::AsppDetector batch(nullptr, batch_options);
+  for (const PrefixKey& key : ObservedPrefixes(o.after)) {
+    EXPECT_TRUE(inc.CurrentAlarms(key).empty()) << key.prefix.ToString();
+    EXPECT_TRUE(batch
+                    .Scan(key.origin, inc.BaselinePaths(key),
+                          inc.CurrentPaths(key))
+                    .empty())
+        << key.prefix.ToString();
+  }
 }
 
 // --- StreamState -------------------------------------------------------------
@@ -383,8 +472,8 @@ TEST(StreamState, WithdrawHandling) {
   EXPECT_EQ(change.old_victim, 5u);
   EXPECT_EQ(change.new_victim, 0u);
   EXPECT_EQ(state.NumEntries(), 0u);
-  EXPECT_TRUE(state.PathsToward(5).empty());
-  EXPECT_TRUE(state.Victims().empty());
+  EXPECT_TRUE(state.PathsToward({5, prefix}).empty());
+  EXPECT_TRUE(state.Prefixes().empty());
 }
 
 TEST(StreamState, LatestWinsCanonicalOrder) {
@@ -392,11 +481,16 @@ TEST(StreamState, LatestWinsCanonicalOrder) {
   const data::Prefix p2 = *data::Prefix::Parse("10.1.0.0/16");
   data::RibSnapshot rib;
   rib.tables[1][p1] = P({2, 5});
+  rib.tables[3][p1] = P({4, 5});
   rib.tables[3][p2] = P({4, 5});
   StreamState state;
   state.SeedBaseline(rib);
+  // AS5's two prefixes are observed apart.
+  EXPECT_EQ(state.Prefixes(),
+            (std::vector<PrefixKey>{{5, p1}, {5, p2}}));
+  EXPECT_EQ(state.PathsToward({5, p2}).size(), 1u);
   // Baseline order: (0, monitor 1), (0, monitor 3).
-  std::vector<std::pair<Asn, AsPath>> paths = state.PathsToward(5);
+  std::vector<std::pair<Asn, AsPath>> paths = state.PathsToward({5, p1});
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].first, 1u);
   EXPECT_EQ(paths[1].first, 3u);
@@ -409,7 +503,7 @@ TEST(StreamState, LatestWinsCanonicalOrder) {
   again.prefix = p1;
   again.path = P({2, 5});
   EXPECT_TRUE(state.Apply(again).changed);
-  paths = state.PathsToward(5);
+  paths = state.PathsToward({5, p1});
   ASSERT_EQ(paths.size(), 2u);
   EXPECT_EQ(paths[0].first, 3u);
   EXPECT_EQ(paths[1].first, 1u);

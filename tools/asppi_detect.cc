@@ -5,6 +5,8 @@
 //   $ asppi_detect --topo=topology.topo --before=t0.rib --after=t1.rib
 //                  --victim=3831 [--lambda=4]
 //
+// Each of the victim's prefixes is scanned on its own: the paper compares
+// routes to one prefix, and an origin may pad its prefixes differently.
 // Passing --lambda enables the victim-aware rule with a uniform announced
 // padding; omit it to run purely on routing data. --victim=0 scans every
 // origin AS appearing in the snapshots (parallelized over --threads).
@@ -14,28 +16,10 @@
 #include "bench/experiment.h"
 #include "data/formats.h"
 #include "detect/detector.h"
+#include "stream/state.h"
 #include "util/strings.h"
 
 using namespace asppi;
-
-namespace {
-
-// Flattens a RIB snapshot into per-monitor paths toward the victim's
-// prefixes (any prefix whose best path originates at the victim).
-std::vector<std::pair<topo::Asn, bgp::AsPath>> PathsToward(
-    const data::RibSnapshot& snapshot, topo::Asn victim) {
-  std::vector<std::pair<topo::Asn, bgp::AsPath>> out;
-  for (const auto& [monitor, table] : snapshot.tables) {
-    for (const auto& [prefix, path] : table) {
-      if (!path.Empty() && path.OriginAs() == victim) {
-        out.emplace_back(monitor, path);
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::Experiment e("asppi_detect",
@@ -52,8 +36,10 @@ int main(int argc, char** argv) {
       "prefix owner ASN (0 = scan every origin in the snapshots)");
   e.Flags().DefineInt(
       "lambda", 0,
-      "announced padding (enables the victim-aware rule; 0=off)");
+      "announced padding, 1..64 (enables the victim-aware rule; 0=off)");
   if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.LambdaFlag(&lambda, /*zero_is_off=*/true)) return 1;
 
   if (e.Flags().GetString("before").empty() ||
       e.Flags().GetString("after").empty()) {
@@ -84,53 +70,52 @@ int main(int argc, char** argv) {
   if (!e.AsnFlag("victim", &victim)) return 1;
   detect::AsppDetector detector(graph);
 
-  // Victim set: the requested AS, or every origin appearing in a snapshot.
-  std::vector<topo::Asn> victims;
-  if (victim != 0) {
-    victims.push_back(victim);
-  } else {
-    std::set<topo::Asn> origins;
-    for (const auto* snapshot : {&before, &after}) {
-      for (const auto& [monitor, table] : snapshot->tables) {
-        for (const auto& [prefix, path] : table) {
-          if (!path.Empty()) origins.insert(path.OriginAs());
-        }
-      }
-    }
-    victims.assign(origins.begin(), origins.end());
+  // Observed prefixes of the requested AS, or of every origin, in either
+  // snapshot.
+  std::set<stream::PrefixKey> observed = stream::ObservedPrefixes(before);
+  observed.merge(stream::ObservedPrefixes(after));
+  std::vector<stream::PrefixKey> targets;
+  for (const stream::PrefixKey& key : observed) {
+    if (victim == 0 || key.origin == victim) targets.push_back(key);
   }
 
   bgp::PrependPolicy policy;
   const bgp::PrependPolicy* policy_ptr = nullptr;
-  if (e.Flags().GetInt("lambda") > 0 && victim != 0) {
-    policy.SetDefault(victim, static_cast<int>(e.Flags().GetInt("lambda")));
+  if (lambda > 0 && victim != 0) {
+    policy.SetDefault(victim, lambda);
     policy_ptr = &policy;
   }
 
-  // Scan victims in parallel; alarms are reported in victim order, so the
-  // output is identical for any --threads value.
-  std::vector<std::vector<detect::Alarm>> per_victim(victims.size());
-  e.Pool()->ParallelFor(victims.size(), [&](std::size_t i) {
-    per_victim[i] = detector.Scan(victims[i], PathsToward(before, victims[i]),
-                                  PathsToward(after, victims[i]), policy_ptr);
+  // Scan prefixes in parallel; alarms are reported in (origin, prefix)
+  // order, so the output is identical for any --threads value.
+  std::vector<std::vector<detect::Alarm>> per_target(targets.size());
+  e.Pool()->ParallelFor(targets.size(), [&](std::size_t i) {
+    per_target[i] = detector.Scan(
+        targets[i].origin, stream::PathsToward(before, targets[i]),
+        stream::PathsToward(after, targets[i]), policy_ptr);
   });
 
-  util::Table table({"victim", "confidence", "suspect", "observer",
+  util::Table table({"victim", "prefix", "confidence", "suspect", "observer",
                      "pads_removed", "detail"});
   std::size_t total_alarms = 0;
-  for (std::size_t i = 0; i < victims.size(); ++i) {
-    const auto& alarms = per_victim[i];
+  if (victim != 0 && targets.empty()) {
+    std::printf("0 alarm(s): no prefix of AS%u in the snapshots\n", victim);
+  }
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    const auto& alarms = per_target[i];
     if (victim == 0 && alarms.empty()) continue;  // terse in scan-all mode
     total_alarms += alarms.size();
-    std::printf("%zu alarm(s) for AS%u's prefixes\n", alarms.size(),
-                victims[i]);
+    const std::string prefix = targets[i].prefix.ToString();
+    std::printf("%zu alarm(s) for AS%u's prefix %s\n", alarms.size(),
+                targets[i].origin, prefix.c_str());
     for (const auto& alarm : alarms) {
       const bool high = alarm.confidence == detect::Alarm::Confidence::kHigh;
       std::printf("  [%s] suspect AS%u (observer AS%u, %d pads removed): %s\n",
                   high ? "HIGH" : "possible", alarm.suspect, alarm.observer,
                   alarm.pads_removed, alarm.detail.c_str());
       table.Row()
-          .Cell(util::Format("AS%u", victims[i]))
+          .Cell(util::Format("AS%u", targets[i].origin))
+          .Cell(prefix)
           .Cell(high ? "HIGH" : "possible")
           .Cell(util::Format("AS%u", alarm.suspect))
           .Cell(util::Format("AS%u", alarm.observer))
@@ -139,8 +124,8 @@ int main(int argc, char** argv) {
     }
   }
   if (victim == 0) {
-    e.Note("%zu alarm(s) across %zu scanned origin ASes", total_alarms,
-           victims.size());
+    e.Note("%zu alarm(s) across %zu scanned (origin, prefix) pairs",
+           total_alarms, targets.size());
   }
   e.RecordTable(table);
   // Exit 2 signals "attack suspected".

@@ -10,9 +10,11 @@
 //   $ asppi_stream --gen [--monitors=30 --prefixes=400 --churn=300]
 //
 // Every emitted alarm is printed with the sequence number of the update that
-// raised it. --victim filters the report to one prefix owner; --lambda
-// additionally enables the victim-aware rule for it. Exit code 2 signals
-// "attack suspected" (at least one reported alarm), matching asppi_detect.
+// raised it and the victim's prefix it concerns: each (origin, prefix) is
+// observed on its own, as the paper compares routes to one prefix. --victim
+// filters the report to one prefix owner; --lambda additionally enables the
+// victim-aware rule for it. Exit code 2 signals "attack suspected" (at least
+// one reported alarm), matching asppi_detect.
 #include <cstdio>
 
 #include "bench/experiment.h"
@@ -44,12 +46,14 @@ int main(int argc, char** argv) {
   e.Flags().DefineUint("victim", 0,
                        "report alarms only for this prefix owner (0 = all)");
   e.Flags().DefineInt("lambda", 0,
-                      "announced padding for --victim (enables the "
+                      "announced padding for --victim, 1..64 (enables the "
                       "victim-aware rule; 0=off)");
   e.Flags().DefineUint("shards", 0, "detector shards (0 = --threads)");
   e.Flags().DefineUint("batch", 1024,
                        "per-shard queue capacity (window size bound)");
   if (!e.ParseFlags(argc, argv)) return 1;
+  int lambda = 0;
+  if (!e.LambdaFlag(&lambda, /*zero_is_off=*/true)) return 1;
 
   data::RibSnapshot rib;
   stream::UpdateSource source;
@@ -101,8 +105,8 @@ int main(int argc, char** argv) {
   if (!e.AsnFlag("victim", &victim)) return 1;
   bgp::PrependPolicy policy;
   const bgp::PrependPolicy* policy_ptr = nullptr;
-  if (e.Flags().GetInt("lambda") > 0 && victim != 0) {
-    policy.SetDefault(victim, static_cast<int>(e.Flags().GetInt("lambda")));
+  if (lambda > 0 && victim != 0) {
+    policy.SetDefault(victim, lambda);
     policy_ptr = &policy;
   }
 
@@ -118,23 +122,25 @@ int main(int argc, char** argv) {
   while (source.Next(update)) pipeline.Push(update);
   const std::vector<stream::StampedAlarm> emitted = pipeline.Finish();
 
-  util::Table table({"sequence", "victim", "confidence", "suspect", "observer",
-                     "pads_removed", "detail"});
+  util::Table table({"sequence", "victim", "prefix", "confidence", "suspect",
+                     "observer", "pads_removed", "detail"});
   std::size_t reported = 0;
   for (const stream::StampedAlarm& stamped : emitted) {
     if (victim != 0 && stamped.victim != victim) continue;
     ++reported;
     const detect::Alarm& alarm = stamped.alarm;
     const bool high = alarm.confidence == detect::Alarm::Confidence::kHigh;
+    const std::string prefix = stamped.prefix.ToString();
     std::printf(
-        "seq %llu victim AS%u [%s] suspect AS%u (observer AS%u, %d pads "
+        "seq %llu victim AS%u %s [%s] suspect AS%u (observer AS%u, %d pads "
         "removed): %s\n",
         static_cast<unsigned long long>(stamped.sequence), stamped.victim,
-        high ? "HIGH" : "possible", alarm.suspect, alarm.observer,
-        alarm.pads_removed, alarm.detail.c_str());
+        prefix.c_str(), high ? "HIGH" : "possible", alarm.suspect,
+        alarm.observer, alarm.pads_removed, alarm.detail.c_str());
     table.Row()
         .Cell(static_cast<std::uint64_t>(stamped.sequence))
         .Cell(util::Format("AS%u", stamped.victim))
+        .Cell(prefix)
         .Cell(high ? "HIGH" : "possible")
         .Cell(util::Format("AS%u", alarm.suspect))
         .Cell(util::Format("AS%u", alarm.observer))
