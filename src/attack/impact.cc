@@ -86,11 +86,13 @@ AttackOutcome AttackSimulator::RunWithTransform(
   std::size_t after_count = before_count;
   outcome.reachable_before = entry.traversal->ReachableCount();
   outcome.reachable_after = outcome.reachable_before;
-  for (std::uint32_t index : delta.TouchedIndices()) {
-    const Asn asn = graph_.AsnAt(index);
+  const std::vector<std::uint32_t>& touched = delta.TouchedIndices();
+  for (std::size_t p = 0; p < touched.size(); ++p) {
+    const Asn asn = graph_.AsnAt(touched[p]);
     if (asn == announcement.origin) continue;
-    const std::optional<bgp::Route>& was = base_best[index];
-    const std::optional<bgp::Route>& now = delta.BestAtIndex(index);
+    const std::optional<bgp::Route>& was = base_best[touched[p]];
+    const bgp::DeltaRow& row = delta.Rows()[p];
+    const std::optional<bgp::Route>& now = row.best_set ? row.best : was;
     // Reachability counts colluders; pollution does not.
     outcome.reachable_after += now.has_value() ? 1 : 0;
     outcome.reachable_after -= was.has_value() ? 1 : 0;
@@ -219,7 +221,8 @@ std::string DiffAgainstResume(const AttackOutcome& outcome,
   const std::span<const Asn> colluders = outcome.colluders;
   const bgp::PropagationResult want = bgp::PropagationSimulator(graph).Resume(
       before, &transform, outcome.colluders, filter);
-  const bgp::PropagationResult got = outcome.after.Materialize();
+  const bgp::PropagationResult got =
+      outcome.after.Materialize(&transform, filter);
 
   if (outcome.converged != want.Converged()) {
     return util::Format("converged: outcome %d, Resume %d", outcome.converged,

@@ -37,8 +37,8 @@ struct AttackOutcome {
   // outcome against the same victim/policy points at one memoized state.
   std::shared_ptr<const bgp::PropagationResult> before;
   // Converged under the attack: the delta engine's sparse overlay over
-  // `before`. Query API mirrors PropagationResult; call .Materialize() where
-  // the dense RIB is truly needed.
+  // `before`. Query API mirrors PropagationResult; call .Materialize() with
+  // the attack's transform and filter where the dense RIB is truly needed.
   bgp::DeltaResult after;
 
   // False when the attacked re-convergence hit the engine round cap instead

@@ -20,7 +20,6 @@ ExportAction AsppInterceptor::OnExport(Asn exporter, Asn /*to*/,
   if (exporter != config_.attacker) return ExportAction::kDefault;
   if (!path.Contains(config_.victim)) return ExportAction::kDefault;
   const int removed = path.CollapseRunsOf(StripTarget());
-  copies_removed_ += static_cast<std::size_t>(removed);
   // Nothing stripped (λ = 1): the attack gains nothing; behave normally.
   if (removed == 0) return ExportAction::kDefault;
   if (config_.violate_valley_free) return ExportAction::kForce;

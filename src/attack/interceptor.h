@@ -65,19 +65,19 @@ class AsppInterceptor final : public bgp::RouteTransform {
       Asn asn, std::span<const std::optional<bgp::Route>> candidates,
       const std::optional<bgp::Route>& policy_best) override;
 
+  // OnExport only ever acts at the attacker.
+  bool MightRewrite(Asn exporter) const override {
+    return exporter == config_.attacker;
+  }
   // OverrideBest only ever acts at the attacker, and only in violate mode.
   bool MightOverride(Asn asn) const override {
     return config_.violate_valley_free && asn == config_.attacker;
   }
 
-  // Total prepended copies removed across all exports so far (diagnostics).
-  std::size_t CopiesRemoved() const { return copies_removed_; }
-
   const Config& GetConfig() const { return config_; }
 
  private:
   Config config_;
-  std::size_t copies_removed_ = 0;
 };
 
 // Baseline: prefix ownership hijack (origin AS attack). The attacker
@@ -90,6 +90,9 @@ class OriginHijacker final : public bgp::RouteTransform {
   ExportAction OnExport(Asn exporter, Asn to, Relation to_rel,
                         Relation learned_from, AsPath& path) override;
 
+  bool MightRewrite(Asn exporter) const override {
+    return exporter == attacker_;
+  }
   bool MightOverride(Asn) const override { return false; }
 
  private:
@@ -107,6 +110,9 @@ class BallaniInterceptor final : public bgp::RouteTransform {
   ExportAction OnExport(Asn exporter, Asn to, Relation to_rel,
                         Relation learned_from, AsPath& path) override;
 
+  bool MightRewrite(Asn exporter) const override {
+    return exporter == attacker_;
+  }
   bool MightOverride(Asn) const override { return false; }
 
  private:

@@ -113,21 +113,33 @@ int DeltaResult::FirstChangeRound(Asn asn) const {
   return row != nullptr ? row->first_change_round : -1;
 }
 
-PropagationResult DeltaResult::Materialize() const {
+PropagationResult DeltaResult::Materialize(RouteTransform* transform,
+                                           const ImportFilter* filter) const {
   PropagationResult out = *base_;
-  out.StoreRibSlots();
+  out.StoreRibSlots();  // the baseline's slots, from its best routes
   out.rounds_ = rounds_;
   out.converged_ = converged_;
   std::fill(out.first_change_round_.begin(), out.first_change_round_.end(),
             -1);
   for (std::size_t p = 0; p < touched_.size(); ++p) {
     const std::size_t i = touched_[p];
-    const DeltaRow& row = rows_[p];
-    if (row.best_set) out.best_[i] = row.best;
-    out.first_change_round_[i] = row.first_change_round;
-    for (std::uint32_t slot = 0;
-         slot < static_cast<std::uint32_t>(row.rib.size()); ++slot) {
-      if (row.HasRibOverride(slot)) out.rib_in_[i][slot] = row.rib[slot];
+    if (rows_[p].best_set) out.best_[i] = rows_[p].best;
+    out.first_change_round_[i] = rows_[p].first_change_round;
+  }
+  // An AS that exported last did so from the best it holds now.
+  std::vector<std::uint32_t> exporters = seeds_;
+  for (std::size_t p = 0; p < touched_.size(); ++p) {
+    if (rows_[p].exported) exporters.push_back(touched_[p]);
+  }
+  const Announcement& announcement = GetAnnouncement();
+  for (std::uint32_t u : exporters) {
+    const Asn u_asn = Graph().AsnAt(u);
+    for (const topo::Edge& edge : Graph().NeighborsAt(u)) {
+      out.rib_in_[edge.id][edge.back_slot] =
+          engine_detail::ExportTo(announcement, u_asn,
+                                  u_asn == announcement.origin, out.best_[u],
+                                  edge, transform, filter)
+              .route;
     }
   }
   return out;
@@ -135,78 +147,88 @@ PropagationResult DeltaResult::Materialize() const {
 
 // --- DeltaPropagator --------------------------------------------------------
 
-// Mutable propagation state: the baseline plus an overlay row per touched AS
-// and the two phase worklists. `row_of` maps dense AS index → overlay row in
-// O(1) with no hashing; rows live in a deque, so references to one row stay
-// valid while other rows are created. Rib slot overrides are bitmask-gated
-// (see DeltaRow): row creation allocates but never copies baseline routes,
-// and per-slot access is one bit test plus a direct index. A slot without an
-// override is the baseline's, derived from the sender's baseline best route
-// (never read from a stored Adj-RIB-In): compared and ranked in place by the
-// engine_detail helpers, built only where a route is needed.
+// Mutable propagation state. Rows live in a deque, so they never move while
+// others are created. No slot is stored: `Held` names the best each slot
+// derives from.
 struct DeltaPropagator::Work {
-  std::shared_ptr<const PropagationResult> base;
+  static constexpr std::uint8_t kDirty = 1;     // in dirty_list
+  static constexpr std::uint8_t kExported = 2;  // exported since the resume
+  static constexpr std::uint8_t kRewrites = 4;  // transform MightRewrite
+
+  // A best decided this phase, committed to its row once exported.
+  struct Change {
+    std::uint32_t index;
+    std::optional<Route> best;
+  };
+
+  Work(const PropagationResult& base, RouteTransform* transform,
+       const ImportFilter* filter)
+      : base_best(base.BestRoutes()),
+        announcement(base.GetAnnouncement()),
+        transform(transform),
+        filter(filter),
+        row_of(base_best.size(), -1),
+        state(base_best.size(), 0) {}
+
+  const std::vector<std::optional<Route>>& base_best;
+  const Announcement& announcement;
+  RouteTransform* transform;
+  const ImportFilter* filter;
   std::vector<std::int32_t> row_of;  // dense index → rows position, or -1
   std::deque<DeltaRow> rows;
-  std::vector<std::uint32_t> touched;  // rows creation order (unsorted)
-  std::vector<std::uint8_t> in_export;
-  std::vector<std::uint8_t> in_dirty;
-  std::vector<std::uint32_t> export_list;
+  std::vector<std::uint32_t> touched;  // in creation order
+  std::vector<std::uint8_t> state;
   std::vector<std::uint32_t> dirty_list;
+  std::vector<Change> changes;  // in rank order
   std::uint64_t decisions = 0;
   std::uint64_t announced = 0;
   std::uint64_t withdrawn = 0;
 
   DeltaRow& MutableRow(std::size_t index) {
-    std::int32_t pos = row_of[index];
-    if (pos < 0) {
-      pos = static_cast<std::int32_t>(rows.size());
-      row_of[index] = pos;
+    if (row_of[index] < 0) {
+      row_of[index] = static_cast<std::int32_t>(rows.size());
       rows.emplace_back();
       touched.push_back(static_cast<std::uint32_t>(index));
     }
-    return rows[static_cast<std::size_t>(pos)];
+    return rows[static_cast<std::size_t>(row_of[index])];
   }
-  const DeltaRow* FindRow(std::size_t index) const {
-    const std::int32_t pos = row_of[index];
-    return pos >= 0 ? &rows[static_cast<std::size_t>(pos)] : nullptr;
-  }
+  // The best as of the last commit: in a decision phase, the phase start's.
   const std::optional<Route>& BestOfIdx(std::size_t index) const {
-    const DeltaRow* row = FindRow(index);
-    if (row != nullptr && row->best_set) return row->best;
-    return base->BestRoutes()[index];
-  }
-  // The override of slot `slot` at `index`, or nullptr for the baseline's.
-  const std::optional<Route>* OverrideAt(std::size_t index,
-                                         std::uint32_t slot) const {
-    const DeltaRow* row = FindRow(index);
-    return row != nullptr && row->HasRibOverride(slot) ? &row->rib[slot]
-                                                       : nullptr;
-  }
-  // The baseline's slot `slot` at `index`, built: what the neighbor there
-  // exports from its baseline best route.
-  std::optional<Route> BaseRibAt(std::size_t index, std::uint32_t slot) const {
-    const topo::AsGraph& graph = base->Graph();
-    const topo::Edge& from =
-        graph.NeighborsAt(static_cast<topo::AsId>(index))[slot];
-    return engine_detail::AttackFreeSlot(graph, base->GetAnnouncement(), from,
-                                         base->BestRoutes()[from.id]);
-  }
-  void SetRib(std::size_t index, std::uint32_t slot,
-              std::optional<Route> value) {
-    DeltaRow& row = MutableRow(index);
-    if (row.rib.empty()) {
-      const std::size_t degree =
-          base->Graph().DegreeAt(static_cast<topo::AsId>(index));
-      row.rib.resize(degree);
-      row.rib_mask.assign((degree + 63) / 64, 0);
+    const std::int32_t pos = row_of[index];
+    if (pos >= 0 && rows[static_cast<std::size_t>(pos)].best_set) {
+      return rows[static_cast<std::size_t>(pos)].best;
     }
-    row.rib_mask[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    row.rib[slot] = std::move(value);
+    return base_best[index];
+  }
+  // What an AS's slots derive from: its baseline best until it exports,
+  // then BestOfIdx, as every change is exported before a decision reads it.
+  const std::optional<Route>& Held(std::size_t index) const {
+    return (state[index] & kExported) ? BestOfIdx(index) : base_best[index];
+  }
+  // Whether no transform or filter acts on the slot u feeds at a receiver
+  // (`filtered`: MightFilter there): it is AttackFreeSlot's from Held(u).
+  bool AttackFree(std::size_t u, bool filtered) const {
+    return !(state[u] & kExported) || (!(state[u] & kRewrites) && !filtered);
+  }
+  // The route the slot for neighbor `from` holds, built.
+  std::optional<Route> SlotRoute(const topo::AsGraph& graph,
+                                 const topo::Edge& from, bool filtered) const {
+    const bool attack_free = AttackFree(from.id, filtered);
+    return engine_detail::ExportTo(
+               announcement, from.asn, from.asn == announcement.origin,
+               Held(from.id), graph.NeighborsAt(from.id)[from.back_slot],
+               attack_free ? nullptr : transform,
+               attack_free ? nullptr : filter)
+        .route;
+  }
+  void Commit(Change& change) {
+    DeltaRow& row = MutableRow(change.index);
+    row.best = std::move(change.best);
+    row.best_set = true;
   }
   void MarkDirty(std::size_t index) {
-    if (!in_dirty[index]) {
-      in_dirty[index] = 1;
+    if (!(state[index] & kDirty)) {
+      state[index] |= kDirty;
       dirty_list.push_back(static_cast<std::uint32_t>(index));
     }
   }
@@ -224,69 +246,42 @@ DeltaResult DeltaPropagator::Propagate(
   Instr().propagations.Add();
 
   const std::size_t n = graph_.NumAses();
-  Work work;
-  work.base = base;
-  work.row_of.assign(n, -1);
-  work.in_export.assign(n, 0);
-  work.in_dirty.assign(n, 0);
+  Work work(*base, transform, filter);
 
-  // Seed exactly like Resume(): flag the dirty ASes for export and refresh
-  // their decisions (the transform may change what they *choose*, not only
-  // what they export) — without recording a change round.
+  // Seed exactly like Resume(): refresh the dirty ASes' decisions (the
+  // transform may change what they *choose*, not only what they export)
+  // without recording a change round. With nothing exported, they commit
+  // at once.
+  std::vector<std::uint32_t> seeds;
   for (Asn asn : dirty) {
-    const std::size_t idx = graph_.IndexOf(asn);
-    if (!work.in_export[idx]) {
-      work.in_export[idx] = 1;
-      work.export_list.push_back(static_cast<std::uint32_t>(idx));
-    }
-    DecideDelta(work, idx, transform);
+    seeds.push_back(graph_.IndexOf(asn));
+    DecideDelta(work, seeds.back());
+    for (Work::Change& change : work.changes) work.Commit(change);
+    work.changes.clear();
   }
+  std::ranges::sort(seeds, {},
+                    [this](topo::AsId a) { return graph_.RankPosAt(a); });
+  seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
 #ifndef NDEBUG
   // All ASN translations happen at seeding; the wavefront below speaks dense
   // ids only (edge targets and back slots come off the frozen graph).
   const std::uint64_t lookups_before = topo::detail::AsnLookupCount();
 #endif
 
-  // Same synchronous schedule as PropagationSimulator::RunLoop, driven by
-  // worklists. Each phase visits its worklist in the graph's precomputed
-  // rank order (the full engine's IdsByRank scans): for small worklists a
-  // rank-position sort is cheapest, but once the wavefront covers a sizeable
-  // share of the graph a scan over IdsByRank — exactly what the full engine
-  // does — beats the sort. Either way the visit order, and hence every wire
-  // action, is identical.
+  // Same synchronous schedule as PropagationSimulator::RunLoop, visiting
+  // worklists in the full engine's IdsByRank order: round 1 exports the
+  // seeds, every later round the previous decision phase's changes. A small
+  // dirty list sorts its rank positions; a large one (a sizeable share of
+  // the graph) is cheaper to find by scanning IdsByRank.
   const std::span<const topo::AsId> by_rank = graph_.IdsByRank();
-  const auto for_each_rank_ordered = [&](std::vector<std::uint32_t>& list,
-                                         std::vector<std::uint8_t>& flags,
-                                         auto&& body) {
-    if (list.size() >= n / 8) {
-      for (topo::AsId idx : by_rank) {
-        if (!flags[idx]) continue;
-        flags[idx] = 0;
-        body(idx);
-      }
-    } else {
-      std::sort(list.begin(), list.end(),
-                [this](std::uint32_t a, std::uint32_t b) {
-                  return graph_.RankPosAt(a) < graph_.RankPosAt(b);
-                });
-      for (std::uint32_t idx : list) {
-        flags[idx] = 0;
-        body(idx);
-      }
-    }
-    list.clear();
-  };
-
-  std::size_t peak_wavefront = 0;
+  std::vector<std::uint32_t>& dirty_list = work.dirty_list;
+  std::size_t peak_wavefront = seeds.size();
   int round = 0;
   bool converged = true;
-  while (true) {
-    if (work.export_list.empty()) break;
-    peak_wavefront = std::max(peak_wavefront, work.export_list.size());
-    for_each_rank_ordered(work.export_list, work.in_export,
-                          [&](std::uint32_t u) {
-      ExportFromDelta(work, u, transform, filter);
-    });
+  for (std::uint32_t seed : seeds) {
+    ExportFromDelta(work, seed, work.BestOfIdx(seed));
+  }
+  while (!seeds.empty()) {
     ++round;
     // Same cap and same stop point as the full engine's RunLoop: a
     // persistently oscillating adversarial policy yields a flagged,
@@ -295,21 +290,34 @@ DeltaResult DeltaPropagator::Propagate(
       converged = false;
       break;
     }
-
-    bool any_change = false;
-    for_each_rank_ordered(work.dirty_list, work.in_dirty,
-                          [&](std::uint32_t v) {
-      if (DecideDelta(work, v, transform)) {
-        any_change = true;
-        DeltaRow& row = work.MutableRow(v);  // exists: best was just written
-        if (row.first_change_round < 0) row.first_change_round = round;
-        if (!work.in_export[v]) {
-          work.in_export[v] = 1;
-          work.export_list.push_back(v);
-        }
+    if (dirty_list.size() < n / 8) {
+      for (std::uint32_t& v : dirty_list) v = graph_.RankPosAt(v);
+      std::sort(dirty_list.begin(), dirty_list.end());
+      for (std::uint32_t& v : dirty_list) v = by_rank[v];
+    } else {
+      dirty_list.clear();
+      for (topo::AsId v : by_rank) {
+        if (work.state[v] & Work::kDirty) dirty_list.push_back(v);
       }
-    });
-    if (!any_change) break;
+    }
+    work.changes.reserve(dirty_list.size());
+    for (std::uint32_t v : dirty_list) {
+      work.state[v] &= ~Work::kDirty;
+      if (DecideDelta(work, v)) {
+        DeltaRow& row = work.MutableRow(v);
+        if (row.first_change_round < 0) row.first_change_round = round;
+      }
+    }
+    dirty_list.clear();
+    if (work.changes.empty()) break;
+    // Each change is committed once exported: no exporter reads another's
+    // best, and the decisions above all read their phase's starting bests.
+    peak_wavefront = std::max(peak_wavefront, work.changes.size());
+    for (Work::Change& change : work.changes) {
+      ExportFromDelta(work, change.index, change.best);
+      work.Commit(change);
+    }
+    work.changes.clear();
   }
 #ifndef NDEBUG
   ASPPI_CHECK_EQ(topo::detail::AsnLookupCount(), lookups_before)
@@ -320,13 +328,23 @@ DeltaResult DeltaPropagator::Propagate(
   result.base_ = std::move(base);
   result.rounds_ = round;
   result.converged_ = converged;
+  // Ascending: sorted while few, found by a scan once they are many.
+  if (work.touched.size() < n / 8) {
+    std::sort(work.touched.begin(), work.touched.end());
+  } else {
+    work.touched.clear();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (work.row_of[i] >= 0) work.touched.push_back(i);
+    }
+  }
   result.touched_ = std::move(work.touched);
-  std::sort(result.touched_.begin(), result.touched_.end());
   result.rows_.reserve(result.touched_.size());
   for (std::uint32_t index : result.touched_) {
-    result.rows_.push_back(
-        std::move(work.rows[static_cast<std::size_t>(work.row_of[index])]));
+    DeltaRow& row = work.rows[static_cast<std::size_t>(work.row_of[index])];
+    row.exported = (work.state[index] & Work::kExported) != 0;
+    result.rows_.push_back(std::move(row));
   }
+  result.seeds_ = std::move(seeds);
 
   Instr().rounds.Add(static_cast<std::uint64_t>(round));
   Instr().decisions.Add(work.decisions);
@@ -338,94 +356,103 @@ DeltaResult DeltaPropagator::Propagate(
 }
 
 void DeltaPropagator::ExportFromDelta(Work& work, std::size_t u,
-                                      RouteTransform* transform,
-                                      const ImportFilter* filter) const {
-  const Announcement& announcement = work.base->GetAnnouncement();
+                                      const std::optional<Route>& best) const {
+  const Announcement& announcement = work.announcement;
   const Asn u_asn = graph_.AsnAt(u);
   const bool is_origin = (u_asn == announcement.origin);
-  // Safe as a reference: it aims into the immutable baseline or into a deque
-  // row, and nothing below mutates any row's `best`.
-  const std::optional<Route>& best = work.BestOfIdx(u);
-  const std::optional<Route>& base_best = work.base->BestRoutes()[u];
+  const std::optional<Route>& held = work.Held(u);  // rows never move
+  const bool exported = (work.state[u] & Work::kExported) != 0;
+  const bool rewrites =
+      work.transform != nullptr && work.transform->MightRewrite(u_asn);
 
   for (const topo::Edge& edge :
        graph_.NeighborsAt(static_cast<topo::AsId>(u))) {
-    engine_detail::Delivery delivery = engine_detail::ExportTo(
-        announcement, u_asn, is_origin, best, edge, transform, filter);
-    if (delivery.sent) ++work.announced;
-    // Unchanged from what the receiver's slot holds: its override, or else
-    // what u's baseline best exports there.
-    const std::optional<Route>* held = work.OverrideAt(edge.id, edge.back_slot);
-    if (held != nullptr ? delivery.route == *held
-                        : engine_detail::SameAsDelivery(
-                              delivery.route, announcement, u_asn, is_origin,
-                              base_best, edge.asn, edge.rel)) {
-      continue;
+    bool sent = false;
+    bool same = false;
+    if (!rewrites && (work.filter == nullptr ||
+                      !work.filter->MightFilter(edge.id))) {
+      // Both slots are AttackFreeSlot's, compared unbuilt: the pads before
+      // the best path, the class carried across a sibling link.
+      sent = engine_detail::AttackFreeDelivers(is_origin, best, edge.asn,
+                                               edge.rel);
+      same = sent == engine_detail::AttackFreeDelivers(is_origin, held,
+                                                        edge.asn, edge.rel) &&
+             (!sent || is_origin ||
+              (held->path == best->path &&
+               (edge.rel != Relation::kSibling ||
+                held->effective == best->effective)));
+    } else {
+      engine_detail::Delivery delivery = engine_detail::ExportTo(
+          announcement, u_asn, is_origin, best, edge, work.transform,
+          work.filter);
+      sent = delivery.sent;
+      same = delivery.route ==
+             engine_detail::ExportTo(announcement, u_asn, is_origin, held,
+                                     edge, exported ? work.transform : nullptr,
+                                     exported ? work.filter : nullptr)
+                 .route;
     }
+    if (sent) ++work.announced;
+    if (same) continue;
     // Same accounting as the full engine: clearing a held slot because
     // nothing was sent is a withdrawal.
-    if (!delivery.sent) ++work.withdrawn;
-    work.SetRib(edge.id, edge.back_slot, std::move(delivery.route));
+    if (!sent) ++work.withdrawn;
+    work.MutableRow(edge.id);
     work.MarkDirty(edge.id);
   }
+  work.state[u] |= Work::kExported | (rewrites ? Work::kRewrites : 0);
 }
 
-bool DeltaPropagator::DecideDelta(Work& work, std::size_t u,
-                                  RouteTransform* transform) const {
+bool DeltaPropagator::DecideDelta(Work& work, std::size_t u) const {
   ++work.decisions;
-  const Announcement& announcement = work.base->GetAnnouncement();
+  const Announcement& announcement = work.announcement;
   const Asn u_asn = graph_.AsnAt(u);
   if (u_asn == announcement.origin) return false;
 
   const std::span<const topo::Edge> neighbors =
       graph_.NeighborsAt(static_cast<topo::AsId>(u));
   const auto slots = static_cast<std::uint32_t>(neighbors.size());
+  const bool filtered = work.filter != nullptr && work.filter->MightFilter(u);
 
   std::optional<Route> chosen;
-  if (transform != nullptr && transform->MightOverride(u_asn)) {
-    // OverrideBest needs a contiguous Adj-RIB-In view; build the merged row.
+  if (work.transform != nullptr && work.transform->MightOverride(u_asn)) {
+    // OverrideBest needs a contiguous Adj-RIB-In view; build the row.
     // MightOverride keeps this off every AS but the attacker.
-    std::vector<std::optional<Route>> merged(slots);
+    std::vector<std::optional<Route>> rib(slots);
     for (std::uint32_t slot = 0; slot < slots; ++slot) {
-      const std::optional<Route>* held = work.OverrideAt(u, slot);
-      merged[slot] = held != nullptr ? *held : work.BaseRibAt(u, slot);
+      rib[slot] = work.SlotRoute(graph_, neighbors[slot], filtered);
     }
-    chosen = engine_detail::ChooseBest(u_asn, merged, transform);
+    chosen = engine_detail::ChooseBest(u_asn, rib, work.transform);
   } else {
-    // One fold over the row's decision keys: an override's from its route,
-    // a baseline slot's from the sender's baseline best without building
-    // the route. Keys never tie (one sender per slot), so the winner is
-    // ChooseBest's pick, and only it is built.
+    // One fold over the row's decision keys: an attack-free slot's from the
+    // sender's held best without building the route, any other slot's from
+    // its built route. Keys never tie (one sender per slot), so the winner
+    // is ChooseBest's pick, and only it is (re)built for keeps.
     RouteKey best_key;
     std::uint32_t best_slot = slots;
     for (std::uint32_t slot = 0; slot < slots; ++slot) {
       const RouteKey* incumbent = best_slot < slots ? &best_key : nullptr;
-      if (const std::optional<Route>* held = work.OverrideAt(u, slot)) {
-        if (!held->has_value()) continue;
-        const RouteKey key = RouteKey::Of(**held);
-        if (incumbent != nullptr && !key.Beats(*incumbent)) continue;
-        best_key = key;
-      } else {
-        const topo::Edge& from = neighbors[slot];
-        const std::optional<RouteKey> key = engine_detail::DeliveryKeyBeating(
+      const topo::Edge& from = neighbors[slot];
+      std::optional<RouteKey> key;
+      if (work.AttackFree(from.id, filtered)) {
+        key = engine_detail::DeliveryKeyBeating(
             announcement, from.asn, from.asn == announcement.origin,
-            work.base->BestRoutes()[from.id], u_asn, topo::Reverse(from.rel),
-            incumbent);
-        if (!key.has_value()) continue;
-        best_key = *key;
+            work.Held(from.id), u_asn, topo::Reverse(from.rel), incumbent);
+      } else if (const auto route = work.SlotRoute(graph_, from, filtered)) {
+        key = RouteKey::Of(*route);
+        if (incumbent != nullptr && !key->Beats(*incumbent)) key.reset();
       }
+      if (!key.has_value()) continue;
+      best_key = *key;
       best_slot = slot;
     }
     if (best_slot < slots) {
-      const std::optional<Route>* held = work.OverrideAt(u, best_slot);
-      chosen = held != nullptr ? *held : work.BaseRibAt(u, best_slot);
+      chosen = work.SlotRoute(graph_, neighbors[best_slot], filtered);
     }
   }
 
   if (chosen == work.BestOfIdx(u)) return false;
-  DeltaRow& mutable_row = work.MutableRow(u);
-  mutable_row.best_set = true;
-  mutable_row.best = std::move(chosen);
+  work.changes.push_back({static_cast<std::uint32_t>(u), std::move(chosen)});
   return true;
 }
 

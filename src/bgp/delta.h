@@ -9,18 +9,10 @@
 // small frontier of ASes, and everything else is dead weight.
 //
 // DeltaPropagator keeps the baseline immutable and accumulates a *sparse
-// overlay* (DeltaResult) of only what changed:
-//   * worklists (export list / dirty list) instead of O(n) phase scans,
-//   * per-AS overlay rows created on first touch, addressed through an O(1)
-//     dense-index table (no hashing on the hot path),
-//   * inside a row, Adj-RIB-In slot overrides are sized to the degree on the
-//     row's *first write* and then indexed directly — so per-slot access
-//     costs exactly what the full engine pays, and the only extra work over
-//     Resume() is allocating the touched rows instead of copying all n,
-//   * a slot without an override is the baseline's, which the engine never
-//     stores or reads: it compares and ranks it from the sender's baseline
-//     best route without building it, and builds it only where a decision
-//     picks it (DESIGN.md §4h).
+// overlay* (DeltaResult) of only what changed, driven by worklists, with
+// per-AS rows created on first touch. It stores no Adj-RIB-In: a slot is
+// its sender's export of the best it last exported (the baseline's,
+// attack-free and unfiltered, before it first exports), derived when read.
 //
 // Equivalence: both engines build every wire-visible action from the shared
 // kernels in bgp::engine_detail (propagation.h), process worklists in the
@@ -84,31 +76,19 @@ class TraversalIndex {
   std::vector<std::uint32_t> size_;
 };
 
-// Overlay state of one touched AS. Absent fields fall through to the
-// baseline.
+// Overlay state of one touched AS: one whose best route or Adj-RIB-In
+// changed.
 struct DeltaRow {
   // Overlay of the best route. `best_set == false` means "unchanged from
   // baseline"; `best_set == true` with `best == nullopt` means the AS lost
   // its route.
-  bool best_set = false;
   std::optional<Route> best;
   // Round of the first best-route change since the resume point (-1: never
   // changed; matches Resume()'s reset semantics).
   int first_change_round = -1;
-  // Adj-RIB-In slot overrides. Bit s of `rib_mask` set ⇒ slot s reads from
-  // `rib[s]`; clear ⇒ the baseline's slot is still current. Both vectors are
-  // sized to the row's degree on the first slot write — default-constructed
-  // slots only, so creating a row never copies (or heap-allocates paths for)
-  // the baseline's unchanged routes, and every read/write after that is one
-  // bit test plus a direct index — the same cost the full engine pays.
-  // Empty ⇒ no slot of this row ever changed.
-  std::vector<std::uint64_t> rib_mask;
-  std::vector<std::optional<Route>> rib;
-
-  bool HasRibOverride(std::uint32_t slot) const {
-    return !rib_mask.empty() &&
-           ((rib_mask[slot >> 6] >> (slot & 63)) & std::uint64_t{1}) != 0;
-  }
+  bool best_set = false;
+  // Exported since the resume point: its slots hold its export of `best`.
+  bool exported = false;
 };
 
 // The converged post-attack state as (immutable baseline + sparse overlay).
@@ -137,12 +117,16 @@ class DeltaResult {
   // Ascending dense indices of every AS whose best route or Adj-RIB-In the
   // propagation changed (overlay rows exist exactly for these).
   const std::vector<std::uint32_t>& TouchedIndices() const { return touched_; }
+  // Their overlay rows, in the same order.
+  const std::vector<DeltaRow>& Rows() const { return rows_; }
 
   // Dense state equivalent to running the full engine's Resume() with the
   // same inputs: baseline copied, overlay applied, change rounds reset to
-  // the overlay's. O(E) — for the oracle and full-RIB consumers, not hot
-  // paths.
-  PropagationResult Materialize() const;
+  // the overlay's, and each exported AS's slots derived from its best under
+  // `transform` and `filter` — which must act as the propagation's did.
+  // O(E): for the oracle and full-RIB consumers, not hot paths.
+  PropagationResult Materialize(RouteTransform* transform,
+                                const ImportFilter* filter = nullptr) const;
 
  private:
   friend class DeltaPropagator;
@@ -157,6 +141,8 @@ class DeltaResult {
   bool converged_ = true;
   std::vector<std::uint32_t> touched_;  // ascending dense indices
   std::vector<DeltaRow> rows_;          // parallel to touched_
+  // The seeds' dense indices: they export in round 1, with or without a row.
+  std::vector<std::uint32_t> seeds_;
 };
 
 // The incremental engine. Construction is free (edge addressing lives in the
@@ -176,20 +162,20 @@ class DeltaPropagator {
   // Run(announcement) without a filter all are. The result holds a
   // reference to `base` (shared_ptr keeps it alive). `filter` gates the
   // attack's imports through the shared engine_detail::ExportTo kernel,
-  // exactly as in the full engine.
+  // exactly as in the full engine (evaluated per read of a derived slot).
   DeltaResult Propagate(std::shared_ptr<const PropagationResult> base,
                         RouteTransform* transform,
                         const std::vector<Asn>& dirty,
                         const ImportFilter* filter = nullptr) const;
 
-  const topo::AsGraph& Graph() const { return graph_; }
-
  private:
   struct Work;
 
-  void ExportFromDelta(Work& work, std::size_t u, RouteTransform* transform,
-                       const ImportFilter* filter) const;
-  bool DecideDelta(Work& work, std::size_t u, RouteTransform* transform) const;
+  // Exports `best`, u's new best, to every neighbor.
+  void ExportFromDelta(Work& work, std::size_t u,
+                       const std::optional<Route>& best) const;
+  // Queues u's best if it changed; returns whether it did.
+  bool DecideDelta(Work& work, std::size_t u) const;
 
   const topo::AsGraph& graph_;
 };

@@ -167,33 +167,11 @@ std::optional<RouteKey> DeliveryKeyBeating(const Announcement& announcement,
   return key;
 }
 
-bool SameAsDelivery(const std::optional<Route>& delivered,
-                    const Announcement& announcement, Asn u_asn,
-                    bool is_origin, const std::optional<Route>& best,
-                    Asn v_asn, Relation v_rel) {
-  const std::optional<RouteKey> key = DeliveryKeyBeating(
-      announcement, u_asn, is_origin, best, v_asn, v_rel, nullptr);
-  if (!key.has_value() || !delivered.has_value()) {
-    return key.has_value() == delivered.has_value();
-  }
-  const Relation rel = topo::Reverse(v_rel);
-  const Relation effective =
-      rel == Relation::kSibling
-          ? (is_origin ? Relation::kCustomer : best->effective)
-          : rel;
-  if (delivered->learned_from != u_asn || delivered->rel != rel ||
-      delivered->effective != effective ||
-      delivered->path.Length() != key->length) {
-    return false;
-  }
-  // The sender's pads, then (past the origin) its best path.
-  const std::span<const Asn> hops = delivered->path.Hops();
-  const std::size_t pads =
-      key->length - (is_origin ? 0 : best->path.Length());
-  return std::ranges::all_of(hops.first(pads),
-                             [u_asn](Asn hop) { return hop == u_asn; }) &&
-         (is_origin || std::ranges::equal(hops.subspan(pads),
-                                          best->path.Hops()));
+bool AttackFreeDelivers(bool is_origin, const std::optional<Route>& best,
+                        Asn v_asn, Relation v_rel) {
+  if (is_origin) return MayExportOwn(v_rel);
+  return best.has_value() && MayExport(best->effective, v_rel) &&
+         !best->path.Contains(v_asn);
 }
 
 std::optional<Route> ChooseBest(Asn u_asn,

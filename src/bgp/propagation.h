@@ -109,12 +109,13 @@ struct RouteKey {
   bool Beats(const RouteKey& other) const;
 };
 
-// The baseline's Adj-RIB-In, described without building it. In a converged,
-// attack-free, filterless state every slot of receiver (v_asn) for sender
-// u_asn holds AttackFreeSlot's route, derived from `best`, u's best route;
-// `v_rel` is v's role relative to u. The two helpers below answer the delta
-// engine's questions about such a slot from `best` alone, without allocating
-// a path; they mirror BuildExport's rules, which live beside them.
+// Slots described without building them. A slot of receiver (v_asn) for
+// sender u_asn that no transform or filter touches holds AttackFreeSlot's
+// route from `best`, a best route of u; `v_rel` is v's role relative to u.
+// Every slot of an attack-free baseline is one, and most of an attacked
+// state (DESIGN.md §4h). The helpers below answer the delta engine's
+// questions about such slots without allocating a path; they mirror
+// BuildExport's rules, which live beside them.
 //
 // The key of the route that slot holds, if it holds one that beats
 // `incumbent` (any route beats nullptr); nullopt otherwise. The sender-side
@@ -124,11 +125,10 @@ std::optional<RouteKey> DeliveryKeyBeating(const Announcement& announcement,
                                            const std::optional<Route>& best,
                                            Asn v_asn, Relation v_rel,
                                            const RouteKey* incumbent);
-// Whether `delivered` equals the route that slot holds (both absent counts).
-bool SameAsDelivery(const std::optional<Route>& delivered,
-                    const Announcement& announcement, Asn u_asn,
-                    bool is_origin, const std::optional<Route>& best,
-                    Asn v_asn, Relation v_rel);
+// Whether that slot holds a route at all: BuildExport's sender-side loop
+// check and valley-free rule (the receiver-side check never fires then).
+bool AttackFreeDelivers(bool is_origin, const std::optional<Route>& best,
+                        Asn v_asn, Relation v_rel);
 
 // Round cap of both engines. A run still exporting after this many rounds
 // stops there and is flagged not converged (Converged() == false): the
@@ -136,13 +136,10 @@ bool SameAsDelivery(const std::optional<Route>& delivered,
 // constant.
 inline constexpr int kMaxRounds = 10000;
 
-// Directed-edge addressing lives in the frozen graph itself: every
+// Both engines address deliveries through the frozen graph's edges: every
 // topo::Edge carries the neighbor's dense id and the exporter's slot in the
-// neighbor's Adj-RIB-In (back_slot), precomputed once at Freeze(). What used
-// to be a separate per-engine EdgeMap is now two fields of the adjacency
-// entry both engines already read, so their delivery targets stay identical
-// by construction and no per-delivery ASN translation ever happens — debug
-// builds assert it (topo::detail::AsnLookupCount around the engine loops).
+// neighbor's Adj-RIB-In (back_slot), so no delivery translates an ASN —
+// debug builds assert it (topo::detail::AsnLookupCount).
 
 }  // namespace engine_detail
 

@@ -30,9 +30,17 @@ class RouteTransform {
   // Called for each potential export. `learned_from` is the relationship
   // class the route was learned through (kCustomer for the origin's own
   // prefix), `to` is the neighbor being exported to. `path` already carries
-  // the exporter's own prepends and may be modified in place.
+  // the exporter's own prepends and may be modified in place. The action and
+  // the path must depend on the arguments alone: the delta engine stores no
+  // Adj-RIB-In and re-derives a slot by calling this again.
   virtual ExportAction OnExport(Asn exporter, Asn to, Relation to_rel,
                                 Relation learned_from, AsPath& path) = 0;
+
+  // Contract: must return true for every `exporter` where OnExport may do
+  // anything but return kDefault with `path` untouched. Where it says no,
+  // the delta engine ranks and compares the exporter's routes without
+  // building them; the conservative default costs a route per slot read.
+  virtual bool MightRewrite(Asn /*exporter*/) const { return true; }
 
   // Optional hook into the decision process at `asn`: `candidates` is the
   // Adj-RIB-In (one optional slot per neighbor) and `policy_best` what the
@@ -61,6 +69,7 @@ class IdentityTransform final : public RouteTransform {
   ExportAction OnExport(Asn, Asn, Relation, Relation, AsPath&) override {
     return ExportAction::kDefault;
   }
+  bool MightRewrite(Asn) const override { return false; }
   bool MightOverride(Asn) const override { return false; }
 };
 

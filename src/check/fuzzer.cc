@@ -231,8 +231,9 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     ref_attack.victim = victim;
     ref_attack.violate_valley_free = instance->violate_valley_free;
     ref_attack.export_stripped_to_peers = instance->export_stripped_to_peers;
+    attack::AsppInterceptor interceptor = InterceptorFor(*instance);
     const ReferenceEngine::State mirror =
-        MirrorFastState(graph, outcome.after.Materialize());
+        MirrorFastState(graph, outcome.after.Materialize(&interceptor));
     alternative_fixpoint =
         oracle.Step(announcement, mirror, &ref_attack) == mirror;
     if (alternative_fixpoint) Instr().alt_fixpoints.Add();
@@ -327,7 +328,9 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     CheckAgainstResume("defense-engine", defended, interceptor, &policy, out);
     Invariants::CheckDefendedState(graph, policy, victim, instance->attacker,
                                    announcement.prepends,
-                                   defended.after.Materialize(), out);
+                                   defended.after.Materialize(&interceptor,
+                                                              &policy),
+                                   out);
   }
 
   // Leg 6 — strategic attacker programs: a seeded strategy::AttackerProgram
@@ -371,7 +374,7 @@ Violations Fuzzer::RunScenario(const Scenario& scenario) const {
     CheckAgainstResume("strategy-engine", strat, oracle_transform, nullptr,
                        out);
     Invariants::CheckStrategicAttack(
-        graph, program, strat.after.Materialize(),
+        graph, program, strat.after.Materialize(&oracle_transform),
         MonitorPaths(*strat.before, instance->monitors),
         MonitorPaths(strat.after, instance->monitors), strat.converged, out);
   }

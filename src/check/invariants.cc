@@ -678,9 +678,13 @@ void Invariants::CheckStreamBatchEquivalence(
     rib.tables[monitor][prefix] = path;
   }
 
+  std::map<stream::PrefixKey, bgp::PrependPolicy> victim_policies;
+  if (victim_policy != nullptr) {
+    victim_policies[{victim, prefix}] = *victim_policy;
+  }
   stream::IncrementalDetector::Options options;
   options.graph = graph;
-  options.victim_policy = victim_policy;
+  options.victim_policies = &victim_policies;
   stream::IncrementalDetector incremental(options);
   incremental.SeedBaseline(rib);
 

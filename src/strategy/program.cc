@@ -192,9 +192,7 @@ bgp::ExportAction ProgramTransform::OnExport(Asn exporter, Asn to,
 
   bool modified = false;
   if (directive.strip_to >= 1) {
-    const int removed = path.TrimRunsOf(program_.Victim(), directive.strip_to);
-    copies_removed_ += static_cast<std::size_t>(removed);
-    modified = removed > 0;
+    modified = path.TrimRunsOf(program_.Victim(), directive.strip_to) > 0;
   }
 
   if (!directive.poison.empty()) {
@@ -273,6 +271,10 @@ std::optional<bgp::Route> ProgramTransform::OverrideBest(
   if (chosen == nullptr || strippable == 0) return std::nullopt;
   if (policy_best.has_value() && *policy_best == *chosen) return std::nullopt;
   return *chosen;
+}
+
+bool ProgramTransform::MightRewrite(Asn exporter) const {
+  return program_.IsColluder(exporter);
 }
 
 bool ProgramTransform::MightOverride(Asn asn) const {

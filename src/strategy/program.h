@@ -146,14 +146,11 @@ class ProgramTransform final : public bgp::RouteTransform {
       Asn asn, std::span<const std::optional<bgp::Route>> candidates,
       const std::optional<bgp::Route>& policy_best) override;
 
+  bool MightRewrite(Asn exporter) const override;
   bool MightOverride(Asn asn) const override;
-
-  // Total prepended copies removed across all exports so far (diagnostics).
-  std::size_t CopiesRemoved() const { return copies_removed_; }
 
  private:
   const AttackerProgram& program_;
-  std::size_t copies_removed_ = 0;
 };
 
 // Human-readable one-line-per-directive rendering for reports and CLIs.

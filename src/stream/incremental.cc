@@ -38,6 +38,16 @@ IncrementalDetector::IncrementalDetector() : IncrementalDetector(Options()) {}
 IncrementalDetector::IncrementalDetector(const Options& options)
     : options_(options) {}
 
+const bgp::PrependPolicy* IncrementalDetector::VictimPolicy(
+    const PrefixKey& target) const {
+  if (options_.victim_policies == nullptr ||
+      !options_.detector.enable_victim_policy) {
+    return nullptr;
+  }
+  const auto it = options_.victim_policies->find(target);
+  return it == options_.victim_policies->end() ? nullptr : &it->second;
+}
+
 void IncrementalDetector::SeedBaseline(const data::RibSnapshot& rib) {
   state_.SeedBaseline(rib);
   // Contributions carry sequence 0; iteration over the RIB maps is already
@@ -67,14 +77,13 @@ void IncrementalDetector::SeedBaseline(const data::RibSnapshot& rib) {
     }
     for (Asn owner : owners) ResolveEffective(ps, victim, owner);
     ps.baseline = ps.stripped;  // the fixed pre-stream view
-    if (options_.victim_policy != nullptr &&
-        options_.detector.enable_victim_policy) {
+    if (const bgp::PrependPolicy* policy = VictimPolicy(target)) {
       // Pre-existing policy violations belong to the initial alarm set (the
       // batch detector would report them on Scan(baseline, baseline)); they
       // are not stamped as stream alarms.
       for (const auto& [owner, stripped] : ps.stripped) {
-        if (auto alarm = detect::VictimAwareAlarm(victim, owner, stripped,
-                                                  *options_.victim_policy)) {
+        if (auto alarm =
+                detect::VictimAwareAlarm(victim, owner, stripped, *policy)) {
           ps.victim_alarms.insert_or_assign(owner, std::move(*alarm));
         }
       }
@@ -148,12 +157,10 @@ void IncrementalDetector::ApplyToPrefix(const PrefixKey& target,
       ps.triggered.erase(owner);
       ps.rule_alarms.erase(owner);
     }
-    if (options_.victim_policy != nullptr &&
-        options_.detector.enable_victim_policy) {
+    if (const bgp::PrependPolicy* policy = VictimPolicy(target)) {
       std::optional<detect::Alarm> alarm;
       if (now != ps.stripped.end()) {
-        alarm = detect::VictimAwareAlarm(victim, owner, now->second,
-                                         *options_.victim_policy);
+        alarm = detect::VictimAwareAlarm(victim, owner, now->second, *policy);
       }
       if (alarm) {
         ps.victim_alarms.insert_or_assign(owner, std::move(*alarm));

@@ -48,10 +48,12 @@ class IncrementalDetector {
   struct Options {
     // Relationship graph for the hint rules (nullptr disables them).
     const topo::AsGraph* graph = nullptr;
-    // Prefix owners' own prepend policies, for the victim-aware rule
-    // (nullptr disables it). `PadsFor(victim, neighbor)` is consulted for
-    // every prefix of every victim this detector tracks.
-    const bgp::PrependPolicy* victim_policy = nullptr;
+    // Prefix owners' own prepend policies, per observed prefix, for the
+    // victim-aware rule: `PadsFor(victim, neighbor)` of a prefix's entry is
+    // what the victim announced for it. A prefix without an entry gets no
+    // victim-aware rule (nullptr: none does), since an origin may pad its
+    // prefixes differently (stream::DeclaredVictimPolicies).
+    const std::map<PrefixKey, bgp::PrependPolicy>* victim_policies = nullptr;
     detect::DetectorOptions detector;
   };
 
@@ -81,6 +83,10 @@ class IncrementalDetector {
   const StreamState& State() const { return state_; }
 
  private:
+  // The victim's policy for `target` if the victim-aware rule runs on it,
+  // else nullptr.
+  const bgp::PrependPolicy* VictimPolicy(const PrefixKey& target) const;
+
   struct Contribution {
     std::uint64_t sequence = 0;
     StreamState::EntryKey key;

@@ -1,5 +1,7 @@
 #include "stream/state.h"
 
+#include <algorithm>
+
 #include "util/metrics.h"
 
 namespace asppi::stream {
@@ -119,6 +121,38 @@ std::vector<std::pair<Asn, AsPath>> PathsToward(const data::RibSnapshot& rib,
     }
   }
   return out;
+}
+
+std::map<PrefixKey, bgp::PrependPolicy> DeclaredVictimPolicies(
+    const data::RibSnapshot& before, Asn victim, int lambda,
+    std::map<PrefixKey, int>* undescribed) {
+  std::map<PrefixKey, int> padding;  // 0: no path shows a first-hop neighbor
+  for (const PrefixKey& key : ObservedPrefixes(before)) {
+    if (key.origin != victim) continue;
+    int& longest = padding[key];
+    for (const auto& [monitor, path] : PathsToward(before, key)) {
+      const std::span<const Asn> hops = path.Hops();
+      const auto first_hop =
+          std::find_if(hops.rbegin(), hops.rend(),
+                       [victim](Asn hop) { return hop != victim; });
+      if (first_hop == hops.rend()) continue;
+      longest = std::max(longest,
+                         static_cast<int>(first_hop - hops.rbegin()));
+    }
+  }
+  std::set<int> paddings;
+  for (const auto& [key, pads] : padding) {
+    if (pads > 0) paddings.insert(pads);
+  }
+  std::map<PrefixKey, bgp::PrependPolicy> policies;
+  for (const auto& [key, pads] : padding) {
+    if (paddings.size() > 1 && pads > 0 && pads != lambda) {
+      (*undescribed)[key] = pads;
+      continue;
+    }
+    policies[key].SetDefault(victim, lambda);
+  }
+  return policies;
 }
 
 void ApplyUpdates(data::RibSnapshot& rib,

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "bgp/as_path.h"
+#include "bgp/policy.h"
 #include "data/measurement.h"
 
 namespace asppi::stream {
@@ -104,5 +105,20 @@ std::set<PrefixKey> ObservedPrefixes(const data::RibSnapshot& rib);
 // ascending monitor order: what AsppDetector::Scan takes for that prefix.
 std::vector<std::pair<Asn, AsPath>> PathsToward(const data::RibSnapshot& rib,
                                                 const PrefixKey& key);
+
+// The victim-aware rule's policies for `victim` under one declared
+// announced padding `lambda` (paper Fig. 4: the victim checks the padding
+// observed against what it announced): `lambda` for each of its prefixes in
+// `before` that the declaration describes. A victim that pads every prefix
+// alike in `before` is described everywhere, and padding observed below
+// `lambda` is the rule's evidence. One that pads its prefixes differently is
+// described only where a prefix's padding — the longest run of the victim's
+// ASN after a first-hop neighbor on any path toward it, since stripping only
+// ever shortens a run — equals `lambda`. The others, with their padding, go
+// to `*undescribed`: the rule skips them instead of accusing them. A prefix
+// absent from `before` gets no policy either.
+std::map<PrefixKey, bgp::PrependPolicy> DeclaredVictimPolicies(
+    const data::RibSnapshot& before, Asn victim, int lambda,
+    std::map<PrefixKey, int>* undescribed);
 
 }  // namespace asppi::stream

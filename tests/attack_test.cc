@@ -58,7 +58,11 @@ TEST(AsppAttack, InterceptedTrafficStillReachesVictim) {
   AttackSimulator sim(g);
   AttackOutcome outcome = sim.RunAsppInterception(
       topo::fb::kFacebook, topo::fb::kSkTelecom, 5);
-  const bgp::PropagationResult after = outcome.after.Materialize();
+  AsppInterceptor::Config config;
+  config.attacker = topo::fb::kSkTelecom;
+  config.victim = topo::fb::kFacebook;
+  AsppInterceptor interceptor(config);
+  const bgp::PropagationResult after = outcome.after.Materialize(&interceptor);
   for (Asn asn : after.AsesTraversing(topo::fb::kSkTelecom)) {
     EXPECT_EQ(after.BestAt(asn)->path.OriginAs(), topo::fb::kFacebook);
   }

@@ -98,7 +98,7 @@ void ExpectEnginesAgree(const AsGraph& graph, Asn victim, Asn attacker,
       " lambda=" + std::to_string(lambda) +
       " violate=" + std::to_string(violate_valley_free) +
       " peers=" + std::to_string(export_stripped_to_peers);
-  ExpectStatesIdentical(resumed, delta.Materialize(), context);
+  ExpectStatesIdentical(resumed, delta.Materialize(&delta_attack), context);
 }
 
 // --- equivalence on canonical fixture shapes -------------------------------
@@ -192,6 +192,39 @@ TEST(DeltaEquivalence, Tier1AttackerLargeWavefront) {
   }
 }
 
+// The full wavefront at Internet scale: tier-1 attackers against the tier-1
+// victim perfbench's sweep_warm attacks (the first tier-1 of the
+// internet2026 preset, ~100k ASes). From λ=3 the stripped route wins almost
+// the whole graph, so nearly every AS is re-decided and re-exported; each
+// point must still match the Resume oracle bit for bit.
+TEST(DeltaEquivalence, Tier1AttackersMatchResumeAtInternet2026) {
+  const topo::GeneratedTopology gen =
+      topo::GenerateInternetTopology(topo::Internet2026Params());
+  ASSERT_GE(gen.tier1.size(), 3u);
+  const Asn victim = gen.tier1.front();
+  attack::BaselineCache cache(gen.graph);
+  const attack::AttackSimulator sim(gen.graph, &cache);
+  struct Point {
+    Asn attacker;
+    int lambda;
+    bool violate;
+  };
+  const Point points[] = {{gen.tier1[1], 3, false}, {gen.tier1[1], 6, false},
+                          {gen.tier1[2], 3, false}, {gen.tier1[2], 6, false},
+                          {gen.tier1[1], 3, true}};
+  for (const Point& point : points) {
+    SCOPED_TRACE("attacker=" + std::to_string(point.attacker) +
+                 " lambda=" + std::to_string(point.lambda) +
+                 " violate=" + std::to_string(point.violate));
+    const attack::AttackOutcome outcome = sim.RunAsppInterception(
+        victim, point.attacker, point.lambda, point.violate);
+    EXPECT_GT(outcome.after.TouchedIndices().size(), gen.graph.NumAses() / 2);
+    attack::AsppInterceptor oracle_attack =
+        MakeInterceptor(point.attacker, victim, point.violate);
+    EXPECT_EQ(attack::DiffAgainstResume(outcome, oracle_attack), "");
+  }
+}
+
 // --- acceptance: pair sweep pinned at every λ ------------------------------
 
 TEST(DeltaEquivalence, PairSweepIdenticalAtEveryLambda) {
@@ -252,7 +285,7 @@ TEST(DeltaResult, QueriesMatchMaterializedState) {
       MakeInterceptor(scenario.attacker, scenario.victim);
   const DeltaResult delta =
       delta_engine.Propagate(baseline, &attack, {scenario.attacker});
-  const PropagationResult dense = delta.Materialize();
+  const PropagationResult dense = delta.Materialize(&attack);
 
   EXPECT_EQ(delta.Rounds(), dense.Rounds());
   for (std::size_t i = 0; i < gen.graph.NumAses(); ++i) {

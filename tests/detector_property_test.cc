@@ -211,7 +211,8 @@ TEST_P(DetectorProperties, WithholdingAttackerNeverFramesInnocents) {
       }
       check::Violations violations;
       check::Invariants::CheckStrategicAttack(
-          gen.graph, program, outcome.after.Materialize(), prev_paths,
+          gen.graph, program, outcome.after.Materialize(&transform, filter),
+          prev_paths,
           cur_paths, outcome.converged, violations);
       EXPECT_TRUE(violations.empty())
           << "victim AS" << victim << " attacker AS" << attacker

@@ -2,10 +2,11 @@
 // corruption it claims to cover. Each case runs a real attack, checks that
 // the honest outcome passes, then corrupts one field of a copy at a time —
 // a fraction, newly_polluted, a reachable count, converged, one best route,
-// one change round, one Adj-RIB-In slot, the round count — and requires a
-// difference line naming that field. Three attack shapes: a single attacker,
-// a defended attack under a defense::PolicySet, and a two-colluder
-// strategy::AttackerProgram (the any-colluder pollution path).
+// one change round, the exports the Adj-RIB-In slots are derived from, the
+// round count — and requires a difference line naming that field. Three
+// attack shapes: a single attacker, a defended attack under a
+// defense::PolicySet, and a two-colluder strategy::AttackerProgram (the
+// any-colluder pollution path).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +36,24 @@ class DeltaResultTestPeer {
   static DeltaRow& FirstRow(DeltaResult& result, std::size_t* index) {
     *index = result.touched_.front();
     return result.rows_.front();
+  }
+  // The first overlay row of an AS that did not export, and its index: an
+  // AS whose best never changed but whose Adj-RIB-In did. Its best feeds no
+  // slot, so corrupting it changes nothing else.
+  static DeltaRow* FirstUnexportedRow(DeltaResult& result,
+                                      std::size_t* index) {
+    for (std::size_t p = 0; p < result.rows_.size(); ++p) {
+      if (result.rows_[p].exported) continue;
+      *index = result.touched_[p];
+      return &result.rows_[p];
+    }
+    return nullptr;
+  }
+  // Marks every AS as not having exported: the Adj-RIB-In slots are then
+  // derived as the baseline's.
+  static void ForgetExports(DeltaResult& result) {
+    for (DeltaRow& row : result.rows_) row.exported = false;
+    result.seeds_.clear();
   }
 };
 
@@ -78,10 +97,12 @@ std::vector<Corruption> AllCorruptions() {
       {"best route",
        [](AttackOutcome& o) {
          std::size_t index = 0;
-         DeltaRow& row = DeltaResultTestPeer::FirstRow(o.after, &index);
+         DeltaRow* row = DeltaResultTestPeer::FirstUnexportedRow(o.after,
+                                                                 &index);
+         ASSERT_NE(row, nullptr);
          const std::optional<Route> now = o.after.BestAtIndex(index);
-         row.best_set = true;
-         row.best = Flipped(now);
+         row->best_set = true;
+         row->best = Flipped(now);
        }},
       {"change round",
        [](AttackOutcome& o) {
@@ -89,23 +110,7 @@ std::vector<Corruption> AllCorruptions() {
          ++DeltaResultTestPeer::FirstRow(o.after, &index).first_change_round;
        }},
       {"Adj-RIB-In",
-       [](AttackOutcome& o) {
-         std::size_t index = 0;
-         DeltaRow& row = DeltaResultTestPeer::FirstRow(o.after, &index);
-         const std::size_t degree =
-             o.before->Graph().DegreeAt(static_cast<topo::AsId>(index));
-         ASSERT_NE(degree, 0u);
-         if (row.rib.empty()) {
-           row.rib.resize(degree);
-           row.rib_mask.assign((degree + 63) / 64, 0);
-         }
-         const std::optional<Route> now =
-             row.HasRibOverride(0)
-                 ? row.rib[0]
-                 : o.before->RibAt(static_cast<topo::AsId>(index), 0);
-         row.rib_mask[0] |= 1;
-         row.rib[0] = Flipped(now);
-       }},
+       [](AttackOutcome& o) { DeltaResultTestPeer::ForgetExports(o.after); }},
       {"rounds",
        [](AttackOutcome& o) { ++DeltaResultTestPeer::Rounds(o.after); }},
   };

@@ -309,9 +309,10 @@ TEST(IncrementalDetector, HandBuiltInterceptionStampedThenRetracted) {
 
   bgp::PrependPolicy policy;
   policy.SetDefault(5, 3);
+  const std::map<PrefixKey, bgp::PrependPolicy> policies{{{5, prefix}, policy}};
 
   IncrementalDetector::Options options;
-  options.victim_policy = &policy;
+  options.victim_policies = &policies;
   IncrementalDetector inc(options);
   inc.SeedBaseline(rib);
   const PrefixKey target{5, prefix};
@@ -441,6 +442,65 @@ TEST(ObservationKey, OneOriginTwoPrefixesRaisesNoAlarmInStream) {
                     .empty())
         << key.prefix.ToString();
   }
+}
+
+// --- the victim's announced padding, per prefix -----------------------------
+
+// The shape of AS3360 in the measurement corpus: the victim pads one prefix
+// once and another twice, and one declared λ=2 describes only the second.
+// The victim-aware rule must skip the first instead of accusing every
+// first-hop neighbor of stripping a pad that was never announced, and must
+// still catch stripping on the second.
+TEST(IncrementalDetector, VictimPolicySkipsAPrefixLambdaDoesNotDescribe) {
+  constexpr Asn kVictim = 3360;
+  const data::Prefix light = *data::Prefix::Parse("11.10.0.0/21");
+  const data::Prefix heavy = *data::Prefix::Parse("10.11.0.0/18");
+  data::RibSnapshot rib;
+  rib.tables[1][light] = P({2, 3, 307, kVictim});
+  rib.tables[2][light] = P({9, 3, 307, kVictim});
+  rib.tables[1][heavy] = P({2, 3, 307, kVictim, kVictim});
+  rib.tables[2][heavy] = P({9, 3, 307, kVictim, kVictim});
+
+  std::map<PrefixKey, int> undescribed;
+  const std::map<PrefixKey, bgp::PrependPolicy> policies =
+      DeclaredVictimPolicies(rib, kVictim, 2, &undescribed);
+  EXPECT_EQ(undescribed, (std::map<PrefixKey, int>{{{kVictim, light}, 1}}));
+  ASSERT_EQ(policies.size(), 1u);
+  EXPECT_EQ(policies.begin()->first, (PrefixKey{kVictim, heavy}));
+  EXPECT_EQ(policies.begin()->second.PadsFor(kVictim, 307), 2);
+  // Padded alike, a victim is described everywhere: padding below λ is then
+  // the rule's evidence, not a reason to skip.
+  data::RibSnapshot heavy_only;
+  heavy_only.tables[1][heavy] = rib.tables[1][heavy];
+  std::map<PrefixKey, int> none;
+  EXPECT_EQ(DeclaredVictimPolicies(heavy_only, kVictim, 5, &none).size(), 1u);
+  EXPECT_TRUE(none.empty());
+
+  // One λ for every prefix accuses the lightly padded one.
+  std::map<PrefixKey, bgp::PrependPolicy> uniform = policies;
+  uniform[{kVictim, light}] = policies.begin()->second;
+  IncrementalDetector::Options options;
+  options.victim_policies = &uniform;
+  IncrementalDetector accusing(options);
+  accusing.SeedBaseline(rib);
+  EXPECT_FALSE(accusing.CurrentAlarms({kVictim, light}).empty());
+
+  options.victim_policies = &policies;
+  IncrementalDetector inc(options);
+  inc.SeedBaseline(rib);
+  EXPECT_TRUE(inc.CurrentAlarms({kVictim, light}).empty());
+  EXPECT_TRUE(inc.CurrentAlarms({kVictim, heavy}).empty());
+
+  // Stripping the described prefix on monitor 1's branch is still caught.
+  data::Update strip;
+  strip.sequence = 1;
+  strip.monitor = 1;
+  strip.prefix = heavy;
+  strip.path = P({2, 3, 307, kVictim});
+  EXPECT_FALSE(inc.Apply(strip).empty());
+  EXPECT_NE(detect::FindAccusing(inc.CurrentAlarms({kVictim, heavy}), 307),
+            nullptr);
+  EXPECT_TRUE(inc.CurrentAlarms({kVictim, light}).empty());
 }
 
 // --- StreamState -------------------------------------------------------------

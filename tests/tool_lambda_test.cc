@@ -62,6 +62,27 @@ TEST_F(ToolLambda, DetectTakesZeroAsOffAndUpToMaxPads) {
   EXPECT_EQ(Detect("64"), 2);
 }
 
+// AS5 also announces a prefix it does not pad. --lambda=3 describes only
+// the padded one, so neither tool accuses the other: not the detector with
+// before = after, and not the stream when the unpadded prefix moves to a
+// chain through AS7.
+TEST_F(ToolLambda, LambdaSkipsAPrefixItDoesNotDescribe) {
+  const std::filesystem::path rib = dir_ / "two_prefixes.rib";
+  std::ofstream(rib) << "1|10.0.0.0/16|2 3 4 5 5 5\n"
+                     << "2|10.0.0.0/16|9 3 4 5 5 5\n"
+                     << "1|11.0.0.0/16|2 3 4 5\n"
+                     << "2|11.0.0.0/16|9 3 4 5\n";
+  const std::filesystem::path upd = dir_ / "move_unpadded.upd";
+  std::ofstream(upd) << "1|1|A|11.0.0.0/16|2 7 5\n";
+  const std::string args = " --victim=5 --lambda=3";
+  EXPECT_EQ(Run(ASPPI_DETECT_BIN, "--before=" + rib.string() +
+                                      " --after=" + rib.string() + args),
+            0);
+  EXPECT_EQ(Run(ASPPI_STREAM_BIN,
+                "--rib=" + rib.string() + " --upd=" + upd.string() + args),
+            0);
+}
+
 TEST_F(ToolLambda, DetectRejectsOutOfRangeWithoutAborting) {
   EXPECT_EQ(Detect("65"), 1);
   EXPECT_EQ(Detect("3000000000"), 1);

@@ -8,9 +8,13 @@
 // Each of the victim's prefixes is scanned on its own: the paper compares
 // routes to one prefix, and an origin may pad its prefixes differently.
 // Passing --lambda enables the victim-aware rule with a uniform announced
-// padding; omit it to run purely on routing data. --victim=0 scans every
+// padding; omit it to run purely on routing data. It applies to the
+// victim's prefixes in the before snapshot; when that snapshot shows the
+// victim padding its prefixes differently, only to those padded exactly
+// --lambda, and the rule skips (and notes) the rest. --victim=0 scans every
 // origin AS appearing in the snapshots (parallelized over --threads).
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "bench/experiment.h"
@@ -79,20 +83,27 @@ int main(int argc, char** argv) {
     if (victim == 0 || key.origin == victim) targets.push_back(key);
   }
 
-  bgp::PrependPolicy policy;
-  const bgp::PrependPolicy* policy_ptr = nullptr;
+  std::map<stream::PrefixKey, bgp::PrependPolicy> policies;
   if (lambda > 0 && victim != 0) {
-    policy.SetDefault(victim, lambda);
-    policy_ptr = &policy;
+    std::map<stream::PrefixKey, int> undescribed;
+    policies =
+        stream::DeclaredVictimPolicies(before, victim, lambda, &undescribed);
+    for (const auto& [key, padding] : undescribed) {
+      e.Note("--lambda=%d does not describe AS%u's prefix %s (padded %d in "
+             "the before snapshot): the victim-aware rule skips it",
+             lambda, key.origin, key.prefix.ToString().c_str(), padding);
+    }
   }
 
   // Scan prefixes in parallel; alarms are reported in (origin, prefix)
   // order, so the output is identical for any --threads value.
   std::vector<std::vector<detect::Alarm>> per_target(targets.size());
   e.Pool()->ParallelFor(targets.size(), [&](std::size_t i) {
+    const auto policy = policies.find(targets[i]);
     per_target[i] = detector.Scan(
         targets[i].origin, stream::PathsToward(before, targets[i]),
-        stream::PathsToward(after, targets[i]), policy_ptr);
+        stream::PathsToward(after, targets[i]),
+        policy == policies.end() ? nullptr : &policy->second);
   });
 
   util::Table table({"victim", "prefix", "confidence", "suspect", "observer",

@@ -13,9 +13,11 @@
 // raised it and the victim's prefix it concerns: each (origin, prefix) is
 // observed on its own, as the paper compares routes to one prefix. --victim
 // filters the report to one prefix owner; --lambda additionally enables the
-// victim-aware rule for it. Exit code 2 signals "attack suspected" (at least
-// one reported alarm), matching asppi_detect.
+// victim-aware rule for it, on the prefixes of the seeded RIB it describes
+// (as in asppi_detect). Exit code 2 signals "attack suspected" (at least one
+// reported alarm), matching asppi_detect.
 #include <cstdio>
+#include <map>
 
 #include "bench/experiment.h"
 #include "data/formats.h"
@@ -103,18 +105,23 @@ int main(int argc, char** argv) {
 
   topo::Asn victim = 0;
   if (!e.AsnFlag("victim", &victim)) return 1;
-  bgp::PrependPolicy policy;
-  const bgp::PrependPolicy* policy_ptr = nullptr;
+  std::map<stream::PrefixKey, bgp::PrependPolicy> policies;
   if (lambda > 0 && victim != 0) {
-    policy.SetDefault(victim, lambda);
-    policy_ptr = &policy;
+    std::map<stream::PrefixKey, int> undescribed;
+    policies =
+        stream::DeclaredVictimPolicies(rib, victim, lambda, &undescribed);
+    for (const auto& [key, padding] : undescribed) {
+      e.Note("--lambda=%d does not describe AS%u's prefix %s (padded %d in "
+             "the seeded RIB): the victim-aware rule skips it",
+             lambda, key.origin, key.prefix.ToString().c_str(), padding);
+    }
   }
 
   stream::Pipeline::Options options;
   options.num_shards = static_cast<std::size_t>(e.Flags().GetUint("shards"));
   options.queue_capacity = static_cast<std::size_t>(e.Flags().GetUint("batch"));
   options.detector.graph = graph;
-  options.detector.victim_policy = policy_ptr;
+  options.detector.victim_policies = &policies;
   stream::Pipeline pipeline(e.Pool(), options);
 
   pipeline.SeedBaseline(rib);
